@@ -1,17 +1,21 @@
 """The study driver: corpus → measures → every figure and finding.
 
-``run_study`` is the one-call entry point used by the CLI, the examples
-and every benchmark: it mines each repository, computes the per-project
-measures and exposes the figure computations plus the headline numbers
-quoted in §4–§6 of the paper.
+``run_study`` is the one-call entry point for a corpus already in hand
+(the CLI's ``--corpus``, the sensitivity analyses, the examples): it
+mines each repository, computes the per-project measures and exposes
+the figure computations plus the headline numbers quoted in §4–§6 of
+the paper.  ``canonical_study`` resolves the canonical corpus through
+the stage-graph pipeline and its artifact store instead.
 
-The pipeline is embarrassingly parallel across projects, so
-``run_study(corpus, jobs=N)`` fans the mine + analyze work out over a
-``ProcessPoolExecutor``; ``jobs=1`` (the default) keeps the original
-serial path, and the two are result-identical (deterministic per-project
-work, order-preserving collection — proven by the equivalence tests).
-Every result carries a :class:`~repro.perf.timing.StudyTimings` with the
-per-stage wall-clock breakdown and parse-cache hit rates.
+Both run the same per-project unit — :func:`~repro.perf.parallel.mine_one`
+then :func:`~repro.pipeline.stages.analyze_one`, folded through the
+aggregate stage's accumulator — with a store (the pipeline) or without
+one (``run_study``).  ``run_study(corpus, jobs=N)`` mines over the warm
+process pool; ``jobs=1`` (the default) mines in-process, and the two are
+result-identical (deterministic per-project work, order-preserving
+collection — proven by the equivalence tests).  Every result carries a
+:class:`~repro.perf.timing.StudyTimings` with the per-stage wall-clock
+breakdown and parse-cache hit rates.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from ..corpus import DEFAULT_SEED, GeneratedProject
-from ..heartbeat import ZeroTotalError
-from ..mining import mine_project
 from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot
+from ..obs.metrics import MetricsSnapshot, get_metrics
 from ..obs.progress import ProgressTracker
 from ..obs.resources import get_monitor
 from ..obs.trace import get_tracer
@@ -43,7 +45,7 @@ from .figures import (
     fig8_attainment,
     headline_numbers,
 )
-from .measures import ProjectMeasures, analyze_project
+from .measures import ProjectMeasures
 from .statistics import StatisticsReport, sec7_statistics
 
 
@@ -174,120 +176,82 @@ class StudyResult:
         return [p for p in self.projects if p.taxon is taxon]
 
 
-class StudyAccumulator:
-    """Fold-style collection of worker results: ``update``/``finalize``.
-
-    One :class:`~repro.perf.parallel.MinedRow` at a time: rows and skips
-    accumulate, stage seconds / cache deltas / worker resource samples
-    fold into the run's :class:`~repro.perf.timing.StudyTimings`, the
-    metrics delta sums, worker span trees reattach under the driver's
-    dispatching span, and worker warnings replay through the driver
-    recorder.  Extracted from ``run_study``'s collection loop so the
-    streaming pipeline can fold results as the backpressured window
-    releases them — identical observability, never a corpus-wide list.
-    """
-
-    def __init__(self, timings: StudyTimings, *, jobs: int = 1):
-        self.timings = timings
-        self.jobs = jobs
-        self.rows: list[ProjectMeasures] = []
-        self.skipped: list[str] = []
-        self.metrics = MetricsSnapshot()
-        self.warnings: list[dict] = []
-        self._tracer = get_tracer()
-        self._recorder = get_recorder()
-
-    def update(self, result) -> None:
-        """Fold one worker result (a ``MinedRow``), corpus order."""
-        if result.row is not None:
-            self.rows.append(result.row)
-        else:
-            self.skipped.append(result.name)
-        self.timings.record("mine", result.mine_seconds)
-        self.timings.record("analyze", result.analyze_seconds)
-        self.timings.merge_cache(result.cache)
-        if result.resources is not None:
-            self.timings.record_resource("workers", result.resources)
-        self.metrics = self.metrics + result.metrics
-        # per-project span trees built in workers (or detached
-        # in-process on the serial path) reattach here; worker trees
-        # also replay their span-close events, which no in-process
-        # sink could observe
-        if result.trace is not None:
-            self._tracer.attach(result.trace, emit=self.jobs > 1)
-        if result.warnings:
-            self.warnings.extend(result.warnings)
-            if self.jobs > 1:
-                for record in result.warnings:
-                    self._recorder.replay(record)
-
-    def finalize(self) -> StudyResult:
-        self.metrics.fold_cache(self.timings.cache)
-        return StudyResult(
-            projects=self.rows,
-            skipped=self.skipped,
-            timings=self.timings,
-            metrics=self.metrics,
-            warnings=self.warnings,
-        )
-
-
 def run_study(
     corpus: Iterable[GeneratedProject], *, jobs: int = 1
 ) -> StudyResult:
-    """Mine and measure every project of a (generated) corpus.
+    """Mine and measure every project of a (generated or loaded) corpus.
+
+    The store-less run of the pipeline's per-project unit: each project
+    is mined by :func:`~repro.perf.parallel.mine_one` through the
+    backpressured :func:`~repro.perf.parallel.window_map`, analyzed
+    driver-side by :func:`~repro.pipeline.stages.analyze_one`, and
+    folded in corpus order through the aggregate stage's
+    :class:`~repro.mining.aggregates.AggregateAccumulator`.
 
     Args:
         corpus: the projects to study (any iterable; materialised once).
-        jobs: worker processes for the mine + analyze fan-out.  ``1``
-            (the default) runs the serial in-process path; ``N > 1``
-            distributes chunks over a ``ProcessPoolExecutor`` while
-            preserving corpus order, producing identical results.
+        jobs: worker processes for the mining fan-out.  ``1`` (the
+            default) mines in-process; ``N > 1`` mines on the shared
+            warm pool while preserving corpus order, producing
+            identical results.
     """
-    from ..perf.parallel import MinedRow, mine_and_analyze, pool_chunksize
+    from ..mining.aggregates import AggregateAccumulator
+    from ..perf.parallel import (
+        default_window,
+        fold_mined,
+        mine_one,
+        window_map,
+    )
     from ..perf.pool import warm_pool
+    from ..pipeline.stages import analyze_one
 
     tracer = get_tracer()
+    recorder = get_recorder()
+    registry = get_metrics()
     projects = list(corpus)
-    timings = StudyTimings(jobs=max(1, jobs))
+    jobs = max(1, jobs)
+    timings = StudyTimings(jobs=jobs)
+    metrics = MetricsSnapshot()
+    acc = AggregateAccumulator()
+    mark = recorder.mark()
     start = time.perf_counter()
-
-    acc = StudyAccumulator(timings, jobs=jobs)
     with tracer.span(
-        "study", projects=len(projects), jobs=max(1, jobs)
+        "study", projects=len(projects), jobs=jobs
     ), get_monitor().window() as window:
         with tracer.span("mine_analyze"):
-            # the heartbeat: one driver-side update per collected result
+            # the heartbeat: one driver-side update per folded project
             # (ETA from the live per-stage timings), emitted to the
             # progress channel when --log-json / --progress listen
             tracker = ProgressTracker(
                 "mine_analyze", len(projects), timings=timings
             )
-            mined: Iterable[MinedRow]
-            if jobs <= 1:
-                mined = map(mine_and_analyze, projects)
-            else:
-                # executor.map yields in corpus order as chunks
-                # complete, so lazy collection keeps results
-                # identical to the serial path while letting the
-                # heartbeat fire mid-run; the warm pool is shared
-                # with generation and kept alive for the next run
-                mined = warm_pool(jobs).map(
-                    mine_and_analyze,
-                    projects,
-                    chunksize=pool_chunksize(len(projects), jobs),
-                )
-
-            for result in mined:
-                acc.update(result)
-                tracker.update(
-                    result.name,
-                    result.mine_seconds + result.analyze_seconds,
-                )
+            for name, mined in window_map(
+                mine_one,
+                ((project.name, "task", project) for project in projects),
+                executor=warm_pool(jobs) if jobs > 1 else None,
+                window=default_window(jobs),
+            ):
+                metrics = fold_mined(mined, timings, metrics, jobs=jobs)
+                before = registry.snapshot()
+                tick = time.perf_counter()
+                with tracer.span("analyze", project=name):
+                    acc.update(analyze_one(mined))
+                seconds = time.perf_counter() - tick
+                timings.record("analyze", seconds)
+                metrics = metrics + (registry.snapshot() - before)
+                tracker.update(name, mined.seconds + seconds)
             tracker.finish()
     timings.record_resource("driver", window.sample)
     timings.record("total", time.perf_counter() - start)
-    return acc.finalize()
+    metrics.fold_cache(timings.cache)
+    aggregate = acc.finalize()
+    return StudyResult(
+        projects=aggregate["rows"],
+        skipped=aggregate["skipped"],
+        timings=timings,
+        metrics=metrics,
+        warnings=recorder.since(mark),
+    )
 
 
 @lru_cache(maxsize=4)

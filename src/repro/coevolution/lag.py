@@ -64,7 +64,9 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     var_y = sum((y - mean_y) ** 2 for y in ys)
     if var_x == 0 or var_y == 0:
         return 0.0
-    return cov / math.sqrt(var_x * var_y)
+    # two square roots, not the root of the product: tiny variances
+    # (~1e-236) multiply to an underflowed zero
+    return cov / (math.sqrt(var_x) * math.sqrt(var_y))
 
 
 def cross_correlation(

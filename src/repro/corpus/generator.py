@@ -26,6 +26,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 from ..heartbeat import Month
 from ..obs.metrics import get_metrics
@@ -614,11 +615,15 @@ def generate_corpus(
     ``blank_projects`` of the frozen-taxa projects are forced to a
     single-month life, reproducing the "(blank)" rows of Fig. 6.
 
-    ``jobs > 1`` generates projects over a process pool.  The specs are
-    always sampled serially from the corpus RNG and each project is
+    ``jobs > 1`` generates projects on the shared warm pool through the
+    backpressured :func:`~repro.perf.parallel.window_map`.  The specs
+    are always sampled serially from the corpus RNG and each project is
     realised from its own ``spec.seed``, so the output is bit-identical
     to the serial path regardless of worker scheduling.
     """
+    from ..perf.parallel import call, default_window, window_map
+    from ..perf.pool import warm_pool
+
     pairs = corpus_specs(
         seed=seed,
         profiles=profiles,
@@ -628,27 +633,23 @@ def generate_corpus(
     tracer = get_tracer()
     with tracer.span("generate", projects=len(pairs), jobs=max(1, jobs)):
         # heartbeat for the generation fan-out: updated per collected
-        # project (lazily off executor.map, which preserves spec order),
-        # so long generations report progress without touching the RNGs
+        # project (window_map preserves spec order), so long
+        # generations report progress without touching the RNGs
         tracker = ProgressTracker("generate", len(pairs))
         projects = []
-        if jobs > 1:
-            from ..perf.parallel import generate_one, pool_chunksize
-            from ..perf.pool import warm_pool
-
-            # the pool stays warm after generation: the mine fan-out
-            # that typically follows reuses the same worker processes
-            for project in warm_pool(jobs).map(
-                generate_one,
-                pairs,
-                chunksize=pool_chunksize(len(pairs), jobs),
-            ):
-                projects.append(project)
-                tracker.update(project.name)
-        else:
-            for spec, profile in pairs:
-                projects.append(generate_project(spec, profile))
-                tracker.update(spec.name)
+        # the pool stays warm after generation: the mine fan-out that
+        # typically follows reuses the same worker processes
+        for name, project in window_map(
+            call,
+            (
+                (spec.name, "task", partial(generate_project, spec, profile))
+                for spec, profile in pairs
+            ),
+            executor=warm_pool(jobs) if jobs > 1 else None,
+            window=default_window(jobs),
+        ):
+            projects.append(project)
+            tracker.update(name)
         tracker.finish()
         for project in projects:
             if project.trace is not None:

@@ -1,10 +1,11 @@
 """Live run monitoring: heartbeat progress events and the TTY line.
 
-Long ``run_study --jobs N`` runs used to be silent until they finished.
-This module threads a heartbeat through both executor fan-outs (corpus
-generation and mine+analyze): as each unit of work completes, the
-driver-side loop calls :meth:`ProgressTracker.update`, and the tracker
-periodically emits a ``progress`` event —
+Long ``--jobs N`` runs used to be silent until they finished.  This
+module threads a heartbeat through the per-project fan-outs (corpus
+generation, the pipeline's ``map`` phase and ``run_study``'s
+``mine_analyze`` loop over the same unit): as each project completes,
+the driver-side loop calls :meth:`ProgressTracker.update`, and the
+tracker periodically emits a ``progress`` event —
 
 ``{"event": "progress", "stage": ..., "done": N, "total": M,
 "percent": ..., "eta_seconds": ..., "slowest": [...]}``

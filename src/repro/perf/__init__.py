@@ -10,12 +10,15 @@ study scale:
   store shared across processes and runs;
 * :mod:`repro.perf.timing` — the per-stage wall-clock breakdown carried
   by :class:`~repro.analysis.study.StudyResult`;
-* :mod:`repro.perf.parallel` — picklable worker functions for the
-  ``ProcessPoolExecutor`` fan-out in ``run_study`` / ``generate_corpus``;
+* :mod:`repro.perf.parallel` — the per-project units (mine, and
+  generate + mine for the pipeline's map shards), the backpressured
+  ``window_map`` fan-out and the one driver-side fold of their side
+  channels, shared by the pipeline (with a store) and ``run_study``
+  (without one);
 * :mod:`repro.perf.fragments` — the incremental statement-level parse
   engine behind the cache's miss path (fragment + element reuse);
-* :mod:`repro.perf.pool` — the reusable warm worker pool shared by the
-  generate and mine fan-outs.
+* :mod:`repro.perf.pool` — the reusable warm worker pool shared by
+  every fan-out.
 """
 
 from .cache import (

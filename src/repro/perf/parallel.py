@@ -1,18 +1,23 @@
-"""Picklable worker functions for the process-pool fan-out.
+"""The per-project units of the study and their process-pool fan-out.
 
-``run_study(corpus, jobs=N)`` and ``generate_corpus(jobs=N)`` ship each
-project to a ``ProcessPoolExecutor`` worker through these module-level
-functions (bound methods and closures cannot cross the pickle
-boundary).  Each worker returns its own stage timings, parse-cache
-deltas, metrics deltas, warning window and (when tracing is enabled) the
-serialised span tree of its work, so the parent can aggregate a
-corpus-wide breakdown and reattach every worker span under its own
-dispatching span; every worker process warms its own in-memory cache
-(and shares the on-disk store when one is configured).
+One per-project engine serves every study: :func:`mine_one` mines a
+project (git log plus DDL history) and the driver analyzes the result
+with :func:`~repro.pipeline.stages.analyze_one`.  The stage graph runs
+that unit with an artifact store (:func:`map_shard` adds generation in
+front of it); :func:`~repro.analysis.study.run_study` runs it without
+one, over an already generated or loaded corpus.  Both fan out through
+:func:`window_map` and fold every result's side channels through
+:func:`fold_mined`.
 
-The same functions run in-process on the serial path, so serial and
-parallel runs flow through identical instrumentation and produce
-identical results.
+The units are module-level functions because bound methods and
+closures cannot cross the pickle boundary.  Each result carries its own
+stage seconds, parse-cache delta, metrics delta, warning window, worker
+resource sample and (when tracing is enabled) the serialised span tree
+of its work, so the driver can rebuild a corpus-wide breakdown and
+reattach every worker span under its own dispatching span.  The same
+functions run in-process on the serial path, so serial and parallel
+runs flow through identical instrumentation and produce identical
+results.
 """
 
 from __future__ import annotations
@@ -22,56 +27,26 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from ..analysis.measures import ProjectMeasures, analyze_project
 from ..corpus.generator import (
     GeneratedProject,
     ProjectSpec,
     generate_project,
 )
 from ..corpus.profiles import TaxonProfile
-from ..heartbeat import ZeroTotalError
 from ..mining import mine_project
 from ..obs.bus import reset_bus
-from ..obs.events import get_recorder, warn
+from ..obs.events import get_recorder
 from ..obs.metrics import MetricsSnapshot, get_metrics
 from ..obs.resources import cpu_times, peak_rss_bytes
 from ..obs.trace import get_tracer
 from .cache import CacheStats, get_cache
 
 
-@dataclass
-class MinedRow:
-    """One project's worker result: a measure row or a skip.
-
-    Besides the row itself, a ``MinedRow`` carries everything the driver
-    needs to reconstruct cross-process observability: stage seconds and
-    cache deltas (summed into :class:`~repro.perf.timing.StudyTimings`),
-    the metrics delta of the call, the warnings recorded during it, and
-    the project's serialised span tree when tracing is on.
-    """
-
-    name: str
-    row: ProjectMeasures | None
-    mine_seconds: float
-    analyze_seconds: float
-    cache: CacheStats
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    warnings: list[dict] = field(default_factory=list)
-    trace: dict | None = None
-    #: The worker process's lifetime footprint at result time
-    #: (``None`` on the in-process serial path, where the driver's own
-    #: sampler window already covers the work).
-    resources: dict | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.row is None
-
-
-#: CPU clock at :func:`worker_init` time; ``None`` means this process
-#: is the driver (serial path), whose footprint the driver's own
-#: sampler windows already cover — workers alone ship samples back.
-_worker_cpu_baseline: tuple[float, float] | None = None
+#: CPU clock at this worker's previous resource sample (first set by
+#: :func:`worker_init`); ``None`` means this process is the driver
+#: (serial path), whose footprint the driver's own sampler windows
+#: already cover — workers alone ship samples back.
+_worker_cpu_mark: tuple[float, float] | None = None
 
 
 def worker_init() -> None:
@@ -83,7 +58,8 @@ def worker_init() -> None:
     written twice — once from the worker through the duplicated file
     descriptor and once when the driver replays it at attach time.
     Workers therefore run sink-less: their spans and warnings travel
-    back inside the :class:`MinedRow` and the driver alone emits them.
+    back inside the :class:`MinedHistory` and the driver alone emits
+    them.
     The telemetry bus is reset for the same reason — a forked worker
     inherits the driver's bus *with* its event-log sink attached, and
     publishing through it would write through the duplicated file
@@ -106,8 +82,8 @@ def worker_init() -> None:
     server_mod = sys.modules.get("repro.obs.server")
     if server_mod is not None:
         server_mod.close_inherited_sockets()
-    global _worker_cpu_baseline
-    _worker_cpu_baseline = cpu_times()
+    global _worker_cpu_mark
+    _worker_cpu_mark = cpu_times()
 
 
 def _worker_sample() -> dict | None:
@@ -115,88 +91,35 @@ def _worker_sample() -> dict | None:
 
     A pool worker is a single-purpose process, so its lifetime peak RSS
     *is* its work's peak — no sampler window needs to cross the pickle
-    boundary.  CPU seconds are measured from the :func:`worker_init`
-    baseline.
+    boundary.  CPU seconds are measured since the worker's previous
+    sample (or :func:`worker_init` for its first), so the driver can
+    sum the samples of many tasks run by one worker without counting
+    any CPU twice.
     """
-    if _worker_cpu_baseline is None:
+    global _worker_cpu_mark
+    if _worker_cpu_mark is None:
         return None
-    user, system = cpu_times()
+    last_user, last_system = _worker_cpu_mark
+    user, system = _worker_cpu_mark = cpu_times()
     return {
         "peak_rss_bytes": peak_rss_bytes(),
         "cpu_seconds": round(
-            max(0.0, user - _worker_cpu_baseline[0])
-            + max(0.0, system - _worker_cpu_baseline[1]),
+            max(0.0, user - last_user) + max(0.0, system - last_system),
             6,
         ),
         "pid": os.getpid(),
     }
 
 
-def mine_and_analyze(project: GeneratedProject) -> MinedRow:
-    """The per-project unit of study work (also used by the serial path).
-
-    Skips (``ZeroTotalError``) are carried in-band: raising across the
-    process boundary would poison the whole chunk.  The project's spans
-    are built detached (no parent) and shipped back as a dict; the
-    driver reattaches them under its dispatching span.
-    """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    recorder = get_recorder()
-    cache_before = get_cache().stats
-    metrics_before = metrics.snapshot()
-    warn_mark = recorder.mark()
-    # the worker pid becomes the span's thread lane in Chrome exports
-    with tracer.detached(
-        "project", project=project.name, worker=os.getpid()
-    ) as span:
-        start = time.perf_counter()
-        with tracer.span("mine") as mine_span:
-            history = mine_project(project.repository)
-            mine_span.set(
-                versions=history.schema_history.commit_count,
-                months=history.duration_months,
-            )
-        mined = time.perf_counter()
-        try:
-            with tracer.span("analyze"):
-                row = analyze_project(history, true_taxon=project.true_taxon)
-        except ZeroTotalError:
-            row = None
-        done = time.perf_counter()
-    metrics.inc("projects.mined")
-    if row is None:
-        metrics.inc("projects.skipped")
-        warn(
-            "empty-history",
-            f"{project.name}: zero total activity on one side; "
-            "project skipped",
-            project=project.name,
-        )
-    for kind, count in _change_counts(history).items():
-        metrics.inc(f"changes.{kind}", count)
-    return MinedRow(
-        name=project.name,
-        row=row,
-        mine_seconds=mined - start,
-        analyze_seconds=done - mined,
-        cache=get_cache().stats - cache_before,
-        metrics=metrics.snapshot() - metrics_before,
-        warnings=recorder.since(warn_mark),
-        trace=span.to_dict() if tracer.enabled else None,
-        resources=_worker_sample(),
-    )
-
-
 @dataclass
 class MinedHistory:
-    """One project's mine-only worker result (the stage-graph unit).
+    """One project's mined result, as :func:`mine_one` returns it.
 
-    The pipeline's ``mine`` stage stops before analysis so its artifact
-    can be reused by every downstream consumer; like :class:`MinedRow`
-    it carries the cross-process observability channels, but its payload
-    is the full :class:`~repro.mining.ProjectHistory` plus the ground
-    truth the ``analyze`` stage needs.
+    Mining stops before analysis so the pipeline's ``mine`` artifact can
+    be reused by every downstream consumer.  Besides the full
+    :class:`~repro.mining.ProjectHistory` and the ground truth analysis
+    needs, it carries the cross-process observability channels that
+    :func:`fold_mined` folds into the driver's run.
     """
 
     name: str
@@ -213,14 +136,13 @@ class MinedHistory:
 def mine_one(
     project: GeneratedProject, *, source: str = "ddl"
 ) -> MinedHistory:
-    """The per-project unit of the pipeline's ``mine`` stage.
+    """The per-project mining unit, run in a worker or in-process.
 
-    Mirrors :func:`mine_and_analyze` up to (and excluding) analysis:
-    the same detached ``project``/``mine`` span pair, the same
-    ``projects.mined`` and ``changes.*`` counters, the same cache /
-    metrics / warning deltas shipped back to the driver.  Analysis —
-    and the empty-history skip decision it makes — happens driver-side
-    in the ``analyze`` stage.  ``source`` names the
+    Mines inside a detached ``project``/``mine`` span pair, counts
+    ``projects.mined`` and ``changes.*``, and ships the cache / metrics
+    / warning deltas back to the driver.  Analysis — and the
+    empty-history skip decision it makes — happens driver-side in
+    :func:`~repro.pipeline.stages.analyze_one`.  ``source`` names the
     :class:`~repro.mining.sources.HistorySource` the schema half mines
     through (the workload's source half; ``"ddl"`` is canonical).
     """
@@ -257,6 +179,39 @@ def mine_one(
     )
 
 
+def fold_mined(
+    mined: MinedHistory, timings, metrics: MetricsSnapshot, *, jobs: int
+) -> MetricsSnapshot:
+    """Fold one :func:`mine_one` result's side channels into the run.
+
+    The one driver-side fold for mined results, with or without a
+    store: the mine seconds and parse-cache delta go into ``timings``
+    (a :class:`~repro.perf.timing.StudyTimings`), a worker's resource
+    sample into its ``workers`` scope, the span tree reattaches under
+    the driver's current span, and — when ``jobs > 1``, so the work ran
+    in another process — the worker's warnings replay through the
+    driver recorder.  Returns ``metrics`` plus the result's metrics
+    delta.
+    """
+    timings.record("mine", mined.seconds)
+    timings.merge_cache(mined.cache)
+    if mined.resources is not None:
+        # worker peaks fold by max into one "workers" scope: the pool's
+        # footprint is its worst process, not their sum
+        timings.record_resource("workers", mined.resources)
+    if mined.trace is not None:
+        # a worker's span closes were invisible to the driver's sinks,
+        # so with jobs > 1 attaching re-emits their events
+        get_tracer().attach(mined.trace, emit=jobs > 1)
+    if mined.warnings and jobs > 1:
+        # worker warnings replay here so the driver's recorder (and any
+        # --log-json sink) sees them exactly once
+        recorder = get_recorder()
+        for record in mined.warnings:
+            recorder.replay(record)
+    return metrics + mined.metrics
+
+
 @dataclass
 class ShardTask:
     """One cold map shard shipped to the fan-out.
@@ -277,13 +232,13 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """What one fused map-shard unit hands back to the driver.
+    """What one map-shard unit hands back to the driver.
 
     ``generated`` is the freshly generated project when the worker had
     to generate (the driver stores it as the shard's ``generate``
     artifact), ``None`` when the task arrived with a warm project.
     The mine half always runs; its observability channels ride on
-    ``mined`` exactly as in the unsharded stage.
+    ``mined``, folded by :func:`fold_mined`.
     """
 
     name: str
@@ -293,10 +248,9 @@ class ShardResult:
 
 
 def map_shard(task: ShardTask) -> ShardResult:
-    """The fused per-shard unit of the map phase: generate? + mine.
+    """The per-shard unit of the pipeline's map phase: generate? + mine.
 
-    One code path for serial (``map``) and parallel (``executor.map``)
-    runs: a cold shard generates its project from ``spec.seed`` (bit
+    One code path for serial and pooled runs: a cold shard generates its project from ``spec.seed`` (bit
     identical regardless of scheduling) and mines it in the same
     worker, so the project never crosses the process boundary twice.
     Analysis stays driver-side — it is orders of magnitude cheaper and
@@ -328,25 +282,18 @@ def _change_counts(history) -> dict[str, int]:
     return totals
 
 
-def generate_one(
-    spec_and_profile: tuple[ProjectSpec, TaxonProfile]
-) -> GeneratedProject:
-    """Generate one project from its (spec, profile) pair.
+def call(task):
+    """Run one bound task — the fan-out unit for a ``functools.partial``.
 
-    Deterministic regardless of scheduling: every project draws from its
-    own ``spec.seed``-rooted RNG, so parallel generation is bit-identical
-    to the serial loop.  When tracing is enabled the project carries its
-    detached ``generate_project`` span in ``project.trace``.
+    Lets :func:`window_map` ship work whose function takes more than
+    one argument (corpus generation) without a wrapper per function.
     """
-    spec, profile = spec_and_profile
-    return generate_project(spec, profile)
+    return task()
 
 
-def pool_chunksize(n_items: int, jobs: int) -> int:
-    """A chunk size amortising pickling without starving the pool."""
-    if jobs <= 1:
-        return max(1, n_items)
-    return max(1, n_items // (jobs * 4))
+def default_window(jobs: int) -> int:
+    """The fan-out's default in-flight window for ``jobs`` workers."""
+    return max(2, 2 * jobs)
 
 
 @dataclass
@@ -389,8 +336,7 @@ def window_map(fn, items, *, executor=None, window=2, stats=None):
       so planning, submission and result memory are all bounded.
 
     Yields ``(tag, result)`` strictly in item order (the reduce fold
-    must see corpus order to stay byte-identical with the fused
-    engine).  ``window`` may be a callable returning the current limit —
+    must see corpus order to stay byte-identical with a serial run).  ``window`` may be a callable returning the current limit —
     the memory watchdog shrinks it under pressure; a limit drop takes
     effect at the next admission check, draining the surplus before any
     new submission.

@@ -1,12 +1,12 @@
 """A reusable warm worker pool for the study fan-outs.
 
-Every parallel entry point used to build (and tear down) its own
-``ProcessPoolExecutor``: ``generate_corpus(jobs=N)`` spun one up, threw
-it away, and ``run_study``'s mine fan-out immediately paid worker
-start-up *again* — plus each fresh worker re-warmed its in-memory parse
-cache from nothing.  For the fused generate+mine flow that start-up tax
-is pure waste: the worker functions are stateless module-level callables
-and the processes are perfectly reusable.
+Every fan-out — the pipeline's map phase, ``run_study``'s mining and
+``generate_corpus(jobs=N)`` — runs the per-project units of
+:mod:`repro.perf.parallel` on one of these pools.  A pool per call would
+pay worker start-up again for every fan-out, and each fresh worker
+would re-warm its in-memory parse cache from nothing; the units are
+stateless module-level callables, so the processes are perfectly
+reusable.
 
 :func:`warm_pool` hands out a process-wide executor keyed on
 

@@ -49,6 +49,8 @@ from ..perf.parallel import (
     ShardResult,
     ShardTask,
     WindowStats,
+    default_window,
+    fold_mined,
     map_shard,
     window_map,
 )
@@ -413,7 +415,7 @@ class Pipeline:
         """The fan-out's initial in-flight window (the memory bound)."""
         if self.window is not None:
             return max(1, self.window)
-        return max(2, 2 * self.jobs)
+        return default_window(self.jobs)
 
     def _iter_map_payloads(self):
         """Stream every shard's ``analyze`` payload, warmest path first.
@@ -427,7 +429,7 @@ class Pipeline:
         most :meth:`map_window` shards are in flight at once, the
         planner is not advanced while the window is full, and each
         payload is yielded — then released — in corpus order, exactly
-        the order the fused engine folds.
+        the order a serial run folds.
 
         Under ``--limit-memory`` a
         :class:`~repro.obs.resources.MemoryWatchdog` probes the driver
@@ -531,12 +533,10 @@ class Pipeline:
 
     def _finish_shard(self, shard: ShardSpec, result) -> dict:
         """Store one fan-out result's artifacts and analyze the shard."""
-        tracer = get_tracer()
-        recorder = get_recorder()
         if result.generated is not None:
             project = result.generated
             if project.trace is not None:
-                tracer.attach(project.trace, emit=self.jobs > 1)
+                get_tracer().attach(project.trace, emit=self.jobs > 1)
                 project.trace = None
             self.timings.record("generate", result.generate_seconds)
             generated_delta = MetricsSnapshot(
@@ -549,20 +549,9 @@ class Pipeline:
                 warnings=(), metrics=generated_delta,
             )
         mined = result.mined
-        self.timings.record("mine", mined.seconds)
-        self.timings.merge_cache(mined.cache)
-        if mined.resources is not None:
-            # worker peaks fold by max into one "workers" scope: the
-            # pool's footprint is its worst process, not their sum
-            self.timings.record_resource("workers", mined.resources)
-        self._map_delta = self._map_delta + mined.metrics
-        if mined.trace is not None:
-            tracer.attach(mined.trace, emit=self.jobs > 1)
-        if mined.warnings and self.jobs > 1:
-            # worker warnings replay here so the driver's recorder (and
-            # any --log-json sink) sees them exactly once
-            for record in mined.warnings:
-                recorder.replay(record)
+        self._map_delta = fold_mined(
+            mined, self.timings, self._map_delta, jobs=self.jobs
+        )
         entry = MinedProject(
             name=mined.name,
             history=mined.history,

@@ -137,8 +137,8 @@ def iter_shards(pairs, code_versions: dict[str, str], dialect: str | None = None
     ``pairs`` may be any iterable — in the streaming pipeline it is the
     :func:`~repro.corpus.generator.iter_corpus_specs` generator, so a
     100k-project plan is never held whole.  Shards keep corpus order
-    (the reduce stages fold rows in corpus order, matching the fused
-    engine byte for byte); the *family* fingerprint over shard keys
+    (the reduce stages fold rows in corpus order, matching a serial
+    ``run_study`` byte for byte); the *family* fingerprint over shard keys
     sorts internally, so ordering here is presentation, not addressing.
     """
     for index, (spec, profile) in enumerate(pairs):

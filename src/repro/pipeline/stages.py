@@ -40,9 +40,13 @@ Reduce compute functions receive the owning
 the fan-out width) plus the payloads of their resolved dependencies,
 and return a :class:`StageOutput` carrying the payload and an explicit
 metrics delta — explicit because worker-process counters never reach
-the driver registry, exactly as in ``run_study``.  Map stages carry no
-corpus-level compute: the graph resolves them shard by shard through
-:func:`~repro.perf.parallel.map_shard` and :func:`analyze_one`.
+the driver registry.  Map stages carry no corpus-level compute: the
+graph resolves them shard by shard through
+:func:`~repro.perf.parallel.map_shard` and :func:`analyze_one`.  The
+same per-project unit (:func:`~repro.perf.parallel.mine_one`, then
+:func:`analyze_one`, folded by the ``aggregate`` stage's accumulator)
+also runs without a store, as
+:func:`~repro.analysis.study.run_study`.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ class StageOutput:
     payload: object
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: True when the compute recorded its own stage seconds (the map
-    #: phase records summed worker seconds, like ``run_study``).
+    #: phase records summed worker seconds).
     self_timed: bool = False
 
 
@@ -123,11 +127,14 @@ class MinedProject:
 def analyze_one(mined: MinedProject) -> dict:
     """``analyze`` one shard: ``{"project", "row"}``, skips in-band.
 
-    Runs driver-side (analysis is orders of magnitude cheaper than
-    mining); the empty-history skip decision — and its warning, with
-    the exact message ``run_study`` emits — lives here.  A skipped
-    project stores ``row=None`` so a warm shard replays the skip
-    without recomputing.
+    ``mined`` is a stored :class:`MinedProject` or a fresh
+    :class:`~repro.perf.parallel.MinedHistory` — anything with
+    ``name``, ``history`` and ``true_taxon``.  Runs driver-side
+    (analysis is orders of magnitude cheaper than mining); the
+    empty-history skip decision and its warning live here, for the
+    pipeline and :func:`~repro.analysis.study.run_study` alike.  A
+    skipped project stores ``row=None`` so a warm shard replays the
+    skip without recomputing.
     """
     from ..analysis.measures import analyze_project
 
@@ -155,10 +162,10 @@ def compute_aggregate(pipe, inputs: dict) -> StageOutput:
     payloads *in corpus order* — ``inputs["analyze"]`` may be the
     streaming map generator, each payload released after its fold — and
     folds them through an
-    :class:`~repro.mining.aggregates.AggregateAccumulator` into the same
-    ``{"rows", "skipped"}`` shape the fused engine produces, so every
-    downstream stage — and the rendered report — is byte-identical to a
-    whole-corpus serial run.  Under ``--limit-memory`` the pipeline
+    :class:`~repro.mining.aggregates.AggregateAccumulator` into the
+    ``{"rows", "skipped"}`` shape, in the order a whole-corpus serial
+    run folds, so every downstream stage — and the rendered report —
+    is byte-identical to one.  Under ``--limit-memory`` the pipeline
     hands the accumulator a spill directory, bounding even the
     accumulated rows; the spilled fold is byte-identical too.
     """

@@ -93,6 +93,17 @@ class TestCrossCorrelation:
         profile = cross_correlation(hb([3, 3, 3]), hb([1, 5, 9]))
         assert profile.best_correlation == 0.0
 
+    def test_tiny_variances_do_not_underflow(self):
+        # var_x * var_y underflows to 0.0 here (Hypothesis found it in
+        # the mirror-symmetry property); the correlation is still ~1
+        series = [0.0, 0.0, 0.0, 2.4e-118]
+        profile = cross_correlation(hb(series), hb(series), max_lag=3)
+        assert profile.correlation_at(0) == pytest.approx(1.0)
+        for lag in profile.lags:
+            assert profile.correlation_at(lag) == pytest.approx(
+                profile.correlation_at(-lag), abs=1e-9
+            )
+
     def test_correlation_at_and_window(self):
         profile = cross_correlation(hb([1, 2, 3]), hb([1, 2, 3]), max_lag=1)
         assert profile.correlation_at(0) == pytest.approx(1.0)

@@ -170,3 +170,52 @@ class TestEndToEndTelemetry:
         assert "workers" in resources
         assert resources["workers"]["peak_rss_bytes"] > 10 * MIB
         assert resources["workers"]["cpu_seconds"] > 0
+
+
+def _burn_then_mine(project):
+    """A pool task: burn 0.2 s of CPU, then mine ``project``.
+
+    Returns the mined result and the CPU seconds the task itself used,
+    read with the same clock the worker's resource sample uses.
+    """
+    from repro.obs.resources import cpu_times
+    from repro.perf.parallel import mine_one
+
+    start = sum(cpu_times())
+    while sum(cpu_times()) - start < 0.2:
+        pass
+    mined = mine_one(project)
+    return mined, sum(cpu_times()) - start
+
+
+class TestWorkerCpuSamples:
+    def test_two_tasks_on_one_worker_count_each_cpu_second_once(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.corpus.generator import generate_corpus
+        from repro.corpus.profiles import scaled_profiles
+        from repro.obs.metrics import MetricsSnapshot
+        from repro.perf.parallel import fold_mined, worker_init
+
+        project = generate_corpus(seed=77, profiles=scaled_profiles(195))[0]
+        with ProcessPoolExecutor(
+            max_workers=1, initializer=worker_init
+        ) as pool:
+            results = [
+                pool.submit(_burn_then_mine, project).result(timeout=60)
+                for _ in range(2)
+            ]
+        samples = [mined.resources for mined, _ in results]
+        assert samples[0]["pid"] == samples[1]["pid"]
+        timings = StudyTimings(jobs=2)
+        metrics = MetricsSnapshot()
+        for mined, _ in results:
+            metrics = fold_mined(mined, timings, metrics, jobs=2)
+        per_task = sum(seconds for _, seconds in results)
+        assert per_task >= 0.4
+        # each sample covers the CPU since the worker's previous one, so
+        # the scope sums to the tasks' own CPU (plus a little transport
+        # overhead between them), never a lifetime total per task
+        assert timings.resources["workers"]["cpu_seconds"] == pytest.approx(
+            per_task, abs=0.05
+        )

@@ -166,12 +166,18 @@ class TestSpanTree:
         dispatch = _find_span(traced["trace"]["spans"], "mine_analyze")
         assert dispatch is not None
         children = dispatch["children"]
-        assert len(children) == traced["corpus_size"]
-        for project_span in children:
+        # each project: its worker-built mining span tree, then the
+        # driver-side analysis of the mined history
+        assert len(children) == 2 * traced["corpus_size"]
+        for project_span, analyze_span in zip(children[::2], children[1::2]):
             assert project_span["name"] == "project"
             assert project_span["attributes"].get("project")
             child_names = [c["name"] for c in project_span["children"]]
-            assert child_names == ["mine", "analyze"]
+            assert child_names == ["mine"]
+            assert analyze_span["name"] == "analyze"
+            assert analyze_span["attributes"]["project"] == (
+                project_span["attributes"]["project"]
+            )
 
     def test_mine_spans_carry_history_attributes(self, traced):
         mine = _find_span(traced["trace"]["spans"], "mine")

@@ -8,12 +8,15 @@ the active recorder, where the run manifest picks it up.
 
 import pytest
 
+from repro.analysis import run_study
+from repro.corpus.generator import GeneratedProject, ProjectSpec
+from repro.heartbeat import Month
 from repro.mining.history import SchemaHistory
 from repro.mining.miner import find_ddl_path
 from repro.obs.events import get_recorder, reset_recorder
 from repro.obs.metrics import get_metrics, reset_metrics
 from repro.perf.cache import ParseCache
-from repro.perf.parallel import mine_and_analyze
+from repro.taxa import Taxon
 from repro.vcs import Commit, FileChange, FileVersion, Repository, synthetic_sha, utc
 
 
@@ -116,17 +119,20 @@ class TestEmptyHistorySkip:
         repo.record_version(
             "schema.sql", FileVersion(synthetic_sha(0), utc(2020, 1), "")
         )
+        spec = ProjectSpec(
+            name=repo.name, taxon=Taxon.FROZEN, seed=0, vendor="mysql",
+            duration_months=3, start=Month(2020, 1),
+        )
+        return GeneratedProject(
+            spec=spec, repository=repo, git_log_text="", ddl_versions=[""],
+        )
 
-        class _Project:
-            name = repo.name
-            repository = repo
-            true_taxon = None
-
-        return _Project()
-
-    def test_skip_is_carried_with_a_warning(self):
-        result = mine_and_analyze(self._zero_schema_project())
-        assert result.skipped
-        assert [r["code"] for r in result.warnings] == ["empty-history"]
-        assert result.warnings[0]["context"]["project"] == "demo/hollow"
-        assert result.metrics.counters["projects.skipped"] == 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_skip_is_carried_with_a_warning(self, jobs):
+        study = run_study([self._zero_schema_project()], jobs=jobs)
+        assert study.projects == []
+        assert study.skipped == ["demo/hollow"]
+        assert [r["code"] for r in study.warnings] == ["empty-history"]
+        assert study.warnings[0]["context"]["project"] == "demo/hollow"
+        assert _codes() == ["empty-history"]
+        assert study.metrics.counters["projects.skipped"] == 1
