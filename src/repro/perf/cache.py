@@ -6,6 +6,9 @@ repeated CLI / benchmark runs the very same scripts are re-lexed from
 scratch.  A :class:`ParseCache` keys parse results on the SHA-256 of the
 script text plus the dialect hint, so identical inputs are parsed once:
 
+* the key also folds in a digest of the parser's own source
+  (:func:`parser_source_digest`), so a lexer or parser fix never
+  replays results pickled by the old code;
 * the in-memory layer is process-local and always on;
 * the optional on-disk layer (``cache_dir`` / ``REPRO_CACHE_DIR``)
   persists pickled :class:`~repro.sqlparser.ParseResult` objects across
@@ -21,10 +24,14 @@ schemas).  Hit/miss counters feed the study's timing instrumentation.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
+from ..pipeline.fingerprint import digest_text
 from ..pipeline.store import atomic_write_pickle, read_pickle
 from ..sqlparser import ParseResult, parse_schema
 from ..sqlparser.parser import set_element_cache
@@ -37,6 +44,15 @@ from .fragments import (
 
 #: Environment variable enabling the on-disk store for the default cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The modules whose code produces a :class:`ParseResult`.
+PARSER_MODULES = (
+    "repro.sqlparser.lexer",
+    "repro.sqlparser.parser",
+    "repro.sqlparser.segment",
+    "repro.sqlparser.dialect",
+    "repro.perf.fragments",
+)
 
 
 @dataclass(frozen=True)
@@ -150,9 +166,26 @@ class CacheStats:
         )
 
 
+@lru_cache(maxsize=None)
+def parser_source_digest() -> str:
+    """A digest of the source of every module in :data:`PARSER_MODULES`.
+
+    Part of every cache key, so pickles on disk written by a different
+    parser are never served: any edit to those modules re-keys the
+    whole cache (coarse on purpose, like ``stage_source_digest``).
+    """
+    return digest_text("parser-source", *(
+        inspect.getsource(importlib.import_module(name))
+        for name in PARSER_MODULES
+    ))
+
+
 def content_key(text: str, dialect: str | None) -> str:
-    """The cache key: sha256 over the dialect hint and the script text."""
+    """The cache key: sha256 over the parser's source digest, the
+    dialect hint and the script text."""
     hasher = hashlib.sha256()
+    hasher.update(parser_source_digest().encode())
+    hasher.update(b"\x00")
     hasher.update((dialect or "").encode())
     hasher.update(b"\x00")
     hasher.update(text.encode("utf-8", errors="surrogateescape"))

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy.stats import chi2 as _chi2
-
 from .result import TestResult
 
 Matrix = Sequence[Sequence[int]]
@@ -36,6 +34,8 @@ def _validate(table: Matrix) -> list[list[int]]:
 
 def chi_square(table: Matrix) -> TestResult:
     """Pearson's χ² test of independence for an r×c table."""
+    from scipy.stats import chi2
+
     rows = _validate(table)
     row_sums = [sum(row) for row in rows]
     col_sums = [sum(col) for col in zip(*rows)]
@@ -53,7 +53,7 @@ def chi_square(table: Matrix) -> TestResult:
             min_expected = min(min_expected, expected)
             statistic += (observed - expected) ** 2 / expected
     df = (len(rows) - 1) * (len(col_sums) - 1)
-    p = float(_chi2.sf(statistic, df))
+    p = float(chi2.sf(statistic, df))
     return TestResult(
         "chi_square",
         statistic,

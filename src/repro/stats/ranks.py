@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy.stats import chi2 as _chi2
-
 from .result import TestResult
 
 
@@ -95,6 +93,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     The p-value uses the χ² approximation with k−1 degrees of freedom,
     standard for group sizes ≥ 5 (all taxa qualify).
     """
+    from scipy.stats import chi2
+
     groups = [list(g) for g in groups if len(g) > 0]
     k = len(groups)
     if k < 2:
@@ -123,7 +123,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     if correction > 0:
         h /= correction
 
-    p = float(_chi2.sf(h, k - 1))
+    p = float(chi2.sf(h, k - 1))
     group_medians = [median(g) for g in groups]
     return TestResult(
         "kruskal_wallis",

@@ -5,14 +5,17 @@ import pickle
 
 import pytest
 
+from repro.perf import cache as cache_module
 from repro.perf.cache import (
     CACHE_DIR_ENV,
+    PARSER_MODULES,
     CacheStats,
     ParseCache,
     cached_parse_schema,
     configure_cache,
     content_key,
     get_cache,
+    parser_source_digest,
 )
 from repro.sqlparser import ParseResult, parse_schema
 
@@ -128,6 +131,43 @@ class TestDiskCache:
         target = tmp_path / "deep" / "cache"
         ParseCache(cache_dir=target)
         assert target.is_dir()
+
+
+class TestParserCodeInKey:
+    """A parse cached by one version of the parser is never served to
+    another: the parser's source digest is part of every key."""
+
+    @pytest.mark.parametrize("edited", PARSER_MODULES)
+    def test_digest_covers_each_parser_module(self, edited, monkeypatch):
+        digest = parser_source_digest.__wrapped__
+        before = digest()
+        real = cache_module.inspect.getsource
+
+        def getsource(module):
+            source = real(module)
+            return source + "# fix\n" if module.__name__ == edited else source
+
+        monkeypatch.setattr(cache_module.inspect, "getsource", getsource)
+        assert digest() != before
+
+    def test_changed_parser_misses_a_populated_disk_cache(
+        self, tmp_path, monkeypatch
+    ):
+        ParseCache(cache_dir=tmp_path).parse(DDL)
+        same_parser = ParseCache(cache_dir=tmp_path)
+        same_parser.parse(DDL)
+        assert same_parser.stats.disk_hits == 1
+        monkeypatch.setattr(
+            cache_module, "parser_source_digest", lambda: "edited parser"
+        )
+        reader = ParseCache(cache_dir=tmp_path)
+        result = reader.parse(DDL)
+        # re-parsed from the text, not read back from the old pickle
+        assert reader.stats == CacheStats(
+            hits=0, misses=1, statement_misses=1, unit_misses=2
+        )
+        assert result.schema == parse_schema(DDL).schema
+        assert len(list(tmp_path.glob("*.pkl"))) == 2
 
 
 class TestStats:

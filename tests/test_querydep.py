@@ -195,6 +195,7 @@ class TestImpact:
 
 class TestDependencyGraph:
     def test_nodes_and_edges(self):
+        pytest.importorskip("networkx")
         graph = dependency_graph(
             [query("SELECT u.name FROM users u", line=4)]
         )
@@ -203,6 +204,7 @@ class TestDependencyGraph:
         assert graph.has_edge("column:users.name", "table:users")
 
     def test_queries_touching_table(self):
+        pytest.importorskip("networkx")
         graph = dependency_graph(
             [
                 query("SELECT u.name FROM users u", line=1),
@@ -213,6 +215,7 @@ class TestDependencyGraph:
         assert hits == ["query:app.py:1"]
 
     def test_queries_touching_missing_node(self):
+        pytest.importorskip("networkx")
         graph = dependency_graph([])
         assert queries_touching(graph, "table:ghost") == []
 
