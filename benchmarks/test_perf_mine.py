@@ -16,7 +16,6 @@ like every BENCH writer.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -25,30 +24,22 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mine.json"
 
 def test_mine_only_breakdown_and_bench_json():
     """Cold + warm mine over the canonical corpus; persist the record."""
-    import repro.perf.cache as cache_module
+    from repro.context import RunContext
     from repro.corpus import generate_corpus
     from repro.mining import mine_project
     from repro.obs.manifest import runtime_environment
-    from repro.perf.cache import CACHE_DIR_ENV, ParseCache
 
     corpus = generate_corpus()
-    saved_cache = cache_module._active
-    saved_env = os.environ.pop(CACHE_DIR_ENV, None)
-    try:
-        cache_module._active = ParseCache()
+    with RunContext().installed() as ctx:
         cold_start = time.perf_counter()
         histories = [mine_project(p.repository) for p in corpus]
         cold_seconds = time.perf_counter() - cold_start
-        cold_stats = cache_module._active.stats
+        cold_stats = ctx.cache.stats
 
         warm_start = time.perf_counter()
         rehistories = [mine_project(p.repository) for p in corpus]
         warm_seconds = time.perf_counter() - warm_start
-        warm_stats = cache_module._active.stats - cold_stats
-    finally:
-        cache_module._active = saved_cache
-        if saved_env is not None:
-            os.environ[CACHE_DIR_ENV] = saved_env
+        warm_stats = ctx.cache.stats - cold_stats
 
     assert len(histories) == len(corpus) == len(rehistories)
     total_activity = sum(

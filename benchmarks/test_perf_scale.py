@@ -39,9 +39,8 @@ def _scale_points() -> tuple[int, ...]:
 
 def test_capped_scaling_and_bench_json():
     """Cold capped studies over growing corpora; persist the record."""
-    from repro.obs.events import reset_recorder
+    from repro.context import RunContext
     from repro.obs.manifest import runtime_environment
-    from repro.obs.metrics import reset_metrics
     from repro.pipeline.graph import Pipeline
     from repro.pipeline.store import DirStore
 
@@ -51,9 +50,9 @@ def test_capped_scaling_and_bench_json():
     points = _scale_points()
     runs: dict[int, dict] = {}
     for n in points:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as tmp:
-            reset_recorder()
-            reset_metrics()
+        with tempfile.TemporaryDirectory(
+            prefix="repro-bench-scale-"
+        ) as tmp, RunContext().installed():
             pipe = Pipeline(
                 projects=n,
                 limit_memory_mb=limit_mb,
@@ -65,8 +64,6 @@ def test_capped_scaling_and_bench_json():
                 "projects": len(study.projects),
                 "skipped": len(study.skipped),
             }
-        reset_recorder()
-        reset_metrics()
 
     for n, run in runs.items():
         assert run["projects"] + run["skipped"] == n

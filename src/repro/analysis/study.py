@@ -26,11 +26,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from ..corpus import DEFAULT_SEED, GeneratedProject
-from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..context import current
+from ..obs.metrics import MetricsSnapshot
 from ..obs.progress import ProgressTracker
-from ..obs.resources import get_monitor
-from ..obs.trace import get_tracer
 from ..perf.timing import StudyTimings
 from ..taxa import Taxon
 from .figures import (
@@ -205,9 +203,8 @@ def run_study(
     from ..perf.pool import warm_pool
     from ..pipeline.stages import analyze_one
 
-    tracer = get_tracer()
-    recorder = get_recorder()
-    registry = get_metrics()
+    ctx = current()
+    tracer, recorder, registry = ctx.tracer, ctx.recorder, ctx.metrics
     projects = list(corpus)
     jobs = max(1, jobs)
     timings = StudyTimings(jobs=jobs)
@@ -217,7 +214,7 @@ def run_study(
     start = time.perf_counter()
     with tracer.span(
         "study", projects=len(projects), jobs=jobs
-    ), get_monitor().window() as window:
+    ), ctx.monitor.window() as window:
         with tracer.span("mine_analyze"):
             # the heartbeat: one driver-side update per folded project
             # (ETA from the live per-stage timings), emitted to the
@@ -260,7 +257,7 @@ def canonical_study(seed: int = DEFAULT_SEED, *, jobs: int = 1) -> StudyResult:
 
     Resolved through the stage-graph pipeline
     (:func:`repro.pipeline.graph.pipeline_study`) against the
-    process-global artifact store, so repeated calls — and CLI runs
+    current run context's artifact store, so repeated calls — and CLI runs
     sharing a ``--store-dir`` — replay clean stages instead of
     recomputing.  ``jobs`` parallelises both corpus generation and
     mining; the result is identical for every ``jobs`` value (each

@@ -649,22 +649,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_perf(args) -> int:
-    """Apply --cache-dir / --store-dir / --jobs; returns worker count."""
-    cache_dir = getattr(args, "cache_dir", None)
-    store_dir = getattr(args, "store_dir", None)
-    if store_dir:
-        from .pipeline.store import configure_store
+def _run_context(args):
+    """The invocation's run context, from --trace / --log-json /
+    --store-dir / --cache-dir (unset directories fall back to the
+    environment)."""
+    from .context import RunContext
 
-        configure_store(store_dir)
-        if not cache_dir:
-            # one flag, both layers: parse results persist next to the
-            # artifacts so a warm run is warm all the way down
-            cache_dir = str(Path(store_dir) / "parse-cache")
-    if cache_dir:
-        from .perf import configure_cache
+    return RunContext.from_environment(
+        trace=bool(
+            getattr(args, "trace", None) or getattr(args, "log_json", None)
+        ),
+        store_dir=getattr(args, "store_dir", None) or None,
+        cache_dir=getattr(args, "cache_dir", None) or None,
+    )
 
-        configure_cache(cache_dir)
+
+def _jobs(args) -> int:
     return max(1, getattr(args, "jobs", 1) or 1)
 
 
@@ -702,7 +702,7 @@ def _get_study(args):
     from .analysis import canonical_study, run_study
     from .corpus import DEFAULT_SEED
 
-    jobs = _configure_perf(args)
+    jobs = _jobs(args)
     session = getattr(args, "obs_session", None)
     if session is not None:
         session.jobs = jobs
@@ -753,7 +753,7 @@ def _cmd_generate(args) -> int:
     from .corpus import DEFAULT_SEED, generate_corpus
     from .io import save_corpus
 
-    jobs = _configure_perf(args)
+    jobs = _jobs(args)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     session = getattr(args, "obs_session", None)
     if session is not None:
@@ -803,12 +803,12 @@ def _cmd_study(args) -> int:
         render_statistics,
     )
 
-    from .obs import get_tracer
+    from .context import current
 
     study = _get_study(args)
     want = args.figure
     blocks: list[str] = []
-    with get_tracer().span("figures", figure=args.figure), \
+    with current().tracer.span("figures", figure=args.figure), \
             study.timings.timed("figures"):
         if want in ("all", "headline"):
             headline = study.headline()
@@ -853,7 +853,7 @@ def _cmd_report(args) -> int:
         from .corpus import DEFAULT_SEED
         from .pipeline.graph import Pipeline
 
-        jobs = _configure_perf(args)
+        jobs = _jobs(args)
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         scale = max(1, getattr(args, "scale", 1) or 1)
         dialect = _dialect_of(args)
@@ -884,7 +884,7 @@ def _cmd_pipeline(args) -> int:
     from .pipeline.graph import Pipeline
     from .pipeline.stages import STAGES
 
-    jobs = _configure_perf(args)
+    jobs = _jobs(args)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     scale = max(1, getattr(args, "scale", 1) or 1)
     dialect = _dialect_of(args)
@@ -1197,10 +1197,7 @@ def _cmd_obs(args) -> int:
 def _obs_registry(args):
     """The run registry for --store-dir / REPRO_STORE_DIR, or None."""
     from .obs.registry import registry_for_store
-    from .pipeline.store import configure_store
 
-    if getattr(args, "store_dir", None):
-        configure_store(args.store_dir)
     registry = registry_for_store()
     if registry is None:
         print(
@@ -1318,10 +1315,7 @@ def _cmd_obs_serve(args) -> int:
     from .corpus import DEFAULT_SEED
     from .obs.server import ObservabilityServer
     from .pipeline.graph import Pipeline
-    from .pipeline.store import configure_store
 
-    if args.store_dir:
-        configure_store(args.store_dir)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     scale = max(1, args.scale or 1)
 
@@ -1565,8 +1559,9 @@ def _append_run_record(args, session) -> None:
 def _start_server(args):
     """Start the --serve observability server, if requested.
 
-    Runs before the command (and before the ObsSession opens), so SSE
-    clients can connect from the first published envelope; the bound
+    Runs inside the invocation's run context — so the server observes
+    that context's bus — and before the command and the ObsSession, so
+    SSE clients can connect from the first published envelope; the bound
     port is announced on stderr because ``--serve`` without a port
     picks an ephemeral one.
     """
@@ -1598,6 +1593,11 @@ def _start_server(args):
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    with _run_context(args).installed():
+        return _run(args)
+
+
+def _run(args) -> int:
     server = _start_server(args)
     session = _configure_obs(args)
     if session is not None:
@@ -1627,10 +1627,10 @@ def main(argv: list[str] | None = None) -> int:
         if session is None:
             # no ObsSession to publish the closing run marker — do it
             # here so SSE consumers (obs top) still see the run end
-            from .obs.bus import get_bus
+            from .obs.bus import publish
             from .obs.events import run_event
 
-            get_bus().publish(
+            publish(
                 "run",
                 run_event(args.command, "ok" if code == 0 else "error"),
             )

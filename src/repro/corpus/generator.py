@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 
+from ..context import current
 from ..heartbeat import Month
-from ..obs.metrics import get_metrics
 from ..obs.progress import ProgressTracker
-from ..obs.trace import get_tracer
 from ..taxa import Taxon
 from ..vcs import (
     Commit,
@@ -186,7 +185,7 @@ def generate_project(
     ``project.trace`` (the generator output itself is identical either
     way — spans observe, they never steer the RNG).
     """
-    tracer = get_tracer()
+    tracer = current().tracer
     if not tracer.enabled:
         return _generate_project(spec, profile)
     with tracer.detached(
@@ -630,7 +629,7 @@ def generate_corpus(
         blank_projects=blank_projects,
         dialect=dialect,
     )
-    tracer = get_tracer()
+    tracer = current().tracer
     with tracer.span("generate", projects=len(pairs), jobs=max(1, jobs)):
         # heartbeat for the generation fan-out: updated per collected
         # project (window_map preserves spec order), so long
@@ -657,5 +656,5 @@ def generate_corpus(
                 # sink, so attaching them re-emits their events
                 tracer.attach(project.trace, emit=jobs > 1)
                 project.trace = None
-    get_metrics().inc("projects.generated", len(projects))
+    current().metrics.inc("projects.generated", len(projects))
     return projects

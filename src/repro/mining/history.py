@@ -15,7 +15,7 @@ from datetime import datetime
 from ..diff import SchemaDelta, diff_schemas, initial_delta
 from ..diff.engine import diff_schemas_reference
 from ..obs.events import warn
-from ..obs.metrics import get_metrics
+from ..context import current
 from ..perf.cache import cached_parse_schema
 from ..schema import Schema
 from ..sqlparser import ParseIssue, parse_schema
@@ -75,7 +75,7 @@ class SchemaHistory:
         """Parse and diff a chronological sequence of DDL file versions."""
         if not file_versions:
             raise ValueError("a schema history needs at least one version")
-        metrics = get_metrics()
+        metrics = current().metrics
         metrics.inc("versions.parsed", len(file_versions))
         versions: list[SchemaVersion] = []
         for fv in file_versions:

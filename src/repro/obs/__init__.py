@@ -23,8 +23,9 @@ run auditable end to end without changing any of its results:
   watchdog comparing run manifests / ``BENCH_study.json`` payloads.
 
 :class:`ObsSession` is the CLI-facing glue: it wires ``--trace``,
-``--log-json``, ``--manifest`` and ``--progress`` to the right globals
-for one run and writes every artifact at :meth:`ObsSession.finalize`.
+``--log-json``, ``--manifest`` and ``--progress`` onto the current
+:class:`~repro.context.RunContext` and writes every artifact at
+:meth:`ObsSession.finalize`.
 """
 
 from __future__ import annotations
@@ -32,22 +33,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .bus import (
-    BUS_KINDS,
-    BUS_SCHEMA_VERSION,
-    Subscription,
-    TelemetryBus,
-    get_bus,
-    reset_bus,
-)
+from ..context import current
+from .bus import BUS_KINDS, BUS_SCHEMA_VERSION, Subscription, TelemetryBus
 from .events import (
     EVENT_SCHEMA_VERSION,
     EventLog,
     EventRecorder,
     aggregate_warnings,
-    get_recorder,
     provenance_event,
-    reset_recorder,
     resource_event,
     run_event,
     span_event,
@@ -67,16 +60,12 @@ from .metrics import (
     HistogramData,
     MetricsRegistry,
     MetricsSnapshot,
-    get_metrics,
-    reset_metrics,
 )
 from .progress import (
     ProgressChannel,
     ProgressTracker,
-    get_progress,
     progress_event,
     render_progress_line,
-    reset_progress,
 )
 from .provenance import (
     PROVENANCE_FORMAT,
@@ -103,7 +92,6 @@ from .regress import (
 from .resources import (
     ResourceMonitor,
     ResourceSample,
-    get_monitor,
     peak_rss_bytes,
     process_sample,
 )
@@ -111,8 +99,6 @@ from .trace import (
     NULL_SPAN,
     Span,
     Tracer,
-    configure_tracing,
-    get_tracer,
     render_trace,
     write_trace,
 )
@@ -147,16 +133,9 @@ __all__ = [
     "build_run_record",
     "chrome_trace",
     "compare_samples",
-    "configure_tracing",
     "diff_components",
     "explain_target",
     "folded_stacks",
-    "get_bus",
-    "get_metrics",
-    "get_monitor",
-    "get_progress",
-    "get_recorder",
-    "get_tracer",
     "history_baseline",
     "load_sample",
     "peak_rss_bytes",
@@ -169,10 +148,6 @@ __all__ = [
     "render_explanation",
     "render_progress_line",
     "render_trace",
-    "reset_bus",
-    "reset_metrics",
-    "reset_progress",
-    "reset_recorder",
     "resource_event",
     "run_event",
     "runtime_environment",
@@ -189,12 +164,14 @@ __all__ = [
 
 
 class ObsSession:
-    """Wires the observability outputs of one pipeline run.
+    """Wires the observability outputs of one run onto its context.
 
-    Construct it before the run (tracing starts, the event log opens),
-    record what the run produced (``session.study = ...``), then call
+    Construct it inside the run's :class:`~repro.context.RunContext`
+    (the event log opens and subscribes to the context's bus), record
+    what the run produced (``session.study = ...``), then call
     :meth:`finalize` to write the trace file and manifest, emit the
-    closing run marker and restore the process-global state.
+    closing run marker and close the event log.  ``trace_path`` and
+    ``log_path`` need a tracing context (``RunContext(trace=True)``).
     """
 
     def __init__(
@@ -225,17 +202,7 @@ class ObsSession:
         #: block.
         self.server = None
 
-        reset_metrics()
-        reset_recorder()
-        channel = reset_progress()
-        self._tracing_enabled = bool(self.trace_path or self.log_path)
-        tracer = (
-            configure_tracing(True) if self._tracing_enabled else get_tracer()
-        )
-        # NOTE: the telemetry bus is deliberately *not* reset here — a
-        # server started before the session (``--serve``) may already
-        # hold subscriptions.  The session only adds (and later
-        # removes) its own event-log sink.
+        self.context = ctx = current()
         self.event_log: EventLog | None = None
         self._log_sink = None
         if self.log_path:
@@ -245,25 +212,25 @@ class ObsSession:
             # of its sinks, filtered to the JSONL event kinds so
             # bus-only kinds (artifact probes, metrics snapshots)
             # never change the log's bytes
-            tracer.publish = True
-            self._log_sink = get_bus().add_sink(
+            ctx.tracer.publish = True
+            self._log_sink = ctx.bus.add_sink(
                 self._emit_envelope,
                 kinds=("span", "warning", "progress", "resource", "run"),
             )
         if progress:
-            channel.stream = sys.stderr
+            ctx.progress.stream = sys.stderr
 
     def _emit_envelope(self, envelope: dict) -> None:
         self.event_log.emit(envelope["data"])
 
     def finalize(self, status: str = "ok") -> None:
-        """Write all requested artifacts and unhook the globals."""
+        """Write all requested artifacts and close the event log."""
         if self.finalized:
             return
         self.finalized = True
-        tracer = get_tracer()
+        ctx = self.context
         if self.trace_path:
-            write_trace(tracer, self.trace_path)
+            write_trace(ctx.tracer, self.trace_path)
         if self.manifest_path:
             manifest = build_manifest(
                 command=self.command,
@@ -272,7 +239,7 @@ class ObsSession:
                 jobs=self.jobs,
                 study=self.study,
                 corpus_size=self.corpus_size,
-                warnings=get_recorder().warnings,
+                warnings=ctx.recorder.warnings,
                 outputs={
                     "trace": self.trace_path,
                     "events": self.log_path,
@@ -285,14 +252,11 @@ class ObsSession:
             )
             write_manifest(manifest, self.manifest_path)
             self.manifest_document = manifest
-        channel = get_progress()
-        channel.close_line()
-        channel.sink = None
-        channel.stream = None
+        ctx.progress.close_line()
         # the closing records ride the bus so live SSE consumers see
         # the run end even when no --log-json file is open; the event
         # log (when open) receives them through its bus sink
-        bus = get_bus()
+        bus = ctx.bus
         if self.study is not None:
             resources = getattr(
                 self.study.timings, "resources", None
@@ -300,13 +264,7 @@ class ObsSession:
             for scope in sorted(resources):
                 bus.publish("resource", resource_event(scope, resources[scope]))
         bus.publish("run", run_event(self.command, status))
-        if self.event_log is not None:
-            get_recorder().sink = None
-            tracer.on_close = None
-            tracer.publish = False
-            self.event_log.close()
         if self._log_sink is not None:
             bus.remove_sink(self._log_sink)
             self._log_sink = None
-        if self._tracing_enabled:
-            configure_tracing(False)
+            self.event_log.close()

@@ -1,11 +1,7 @@
 """The in-process telemetry bus: one ordered stream for every signal.
 
-Before this module, each telemetry stream had its own ad-hoc wiring:
-span closes went to ``Tracer.on_close``, warnings to
-``EventRecorder.sink``, progress heartbeats to ``ProgressChannel.sink``
-— each pointed straight at the ``--log-json`` file handle, and nothing
-else could observe a run without adding yet another sink attribute.
-The bus unifies them: every emission path *publishes* a typed record,
+Every telemetry stream rides this bus: every emission path
+*publishes* a typed record,
 and every consumer — the JSONL event log, the stderr progress line, an
 SSE client of :mod:`repro.obs.server`, the ``repro obs top`` dashboard
 — *subscribes*.
@@ -45,11 +41,11 @@ with every retained envelope with id > N before going live, so a
 reconnecting SSE client resumes exactly where it left off — up to the
 ring bound, which is the documented replay horizon.
 
-**Worker hygiene.**  Forked pool workers inherit the driver's bus —
-including any event-log sink holding a duplicated file descriptor.
-``worker_init`` calls :func:`reset_bus` so workers publish into a
-consumer-less bus; their telemetry travels back inside results and the
-driver republishes it, exactly as spans and warnings always have.
+**Worker hygiene.**  Each run context owns one bus.  A pool worker
+runs a fresh context (``worker_init``), so it publishes into a
+consumer-less bus — never through an event-log sink whose file
+descriptor it inherited from the driver; its telemetry travels back
+inside results and the driver republishes it.
 """
 
 from __future__ import annotations
@@ -59,6 +55,8 @@ import queue
 import threading
 import time
 from collections import deque
+
+from ..context import current
 
 #: Schema generation of the bus envelope format.
 BUS_SCHEMA_VERSION = 1
@@ -273,32 +271,6 @@ class TelemetryBus:
             }
 
 
-# ----------------------------------------------------------------------
-# the process-global bus
-
-_active: TelemetryBus | None = None
-
-
-def get_bus() -> TelemetryBus:
-    """The process's telemetry bus (created on first use)."""
-    global _active
-    if _active is None:
-        _active = TelemetryBus()
-    return _active
-
-
-def reset_bus() -> TelemetryBus:
-    """Replace the active bus with a fresh, consumer-less one.
-
-    Called by ``worker_init`` so forked pool workers never deliver into
-    sinks (event-log file handles!) inherited from the driver, and by
-    tests that need isolation.
-    """
-    global _active
-    _active = TelemetryBus()
-    return _active
-
-
 def publish(kind: str, data: dict) -> dict:
-    """Publish one record on the active bus."""
-    return get_bus().publish(kind, data)
+    """Publish one record on the current run's bus."""
+    return current().bus.publish(kind, data)

@@ -37,7 +37,7 @@ when the record is well-formed (object with a string ``event``, a
 numeric ``ts`` and an integer ``schema``), so tomorrow's events don't
 break today's consumers.
 
-Warnings are also collected in the process-local
+Warnings are also collected in the run context's
 :class:`EventRecorder` so the run manifest can surface them after the
 fact; worker processes ship their recorder windows back with their
 results and the driver replays them (:meth:`EventRecorder.replay`),
@@ -51,8 +51,8 @@ import json
 import time
 from pathlib import Path
 
+from ..context import current
 from .bus import publish as bus_publish
-from .metrics import get_metrics
 
 #: The event-log schema generation.  Version 1 had no ``schema`` field
 #: (span/warning/progress/run only); version 2 added the ``resource``
@@ -172,13 +172,10 @@ def provenance_event(record: dict) -> dict:
 # warnings
 
 class EventRecorder:
-    """Process-local warning collector with an optional live sink."""
+    """One run's warning collector (owned by its run context)."""
 
     def __init__(self):
         self.warnings: list[dict] = []
-        #: Optional callable receiving each warning record as emitted
-        #: (the ``--log-json`` event log registers here).
-        self.sink = None
 
     def warn(self, code: str, message: str, **context) -> dict:
         """Record one warning event; returns the record."""
@@ -198,12 +195,10 @@ class EventRecorder:
 
     def _deliver(self, record: dict) -> None:
         self.warnings.append(record)
-        get_metrics().inc(f"warnings.{record['code']}")
+        current().metrics.inc(f"warnings.{record['code']}")
         # every warning rides the telemetry bus; the --log-json event
         # log (a bus sink) and any live SSE client both see it there
         bus_publish("warning", record)
-        if self.sink is not None:
-            self.sink(record)
 
     # -- windows (the worker protocol) ---------------------------------
     def mark(self) -> int:
@@ -215,27 +210,9 @@ class EventRecorder:
         return self.warnings[mark:]
 
 
-_active: EventRecorder | None = None
-
-
-def get_recorder() -> EventRecorder:
-    """The process's warning recorder (created on first use)."""
-    global _active
-    if _active is None:
-        _active = EventRecorder()
-    return _active
-
-
-def reset_recorder() -> EventRecorder:
-    """Replace the active recorder with an empty one."""
-    global _active
-    _active = EventRecorder()
-    return _active
-
-
 def warn(code: str, message: str, **context) -> dict:
-    """Record a warning event on the active recorder."""
-    return get_recorder().warn(code, message, **context)
+    """Record a warning event on the current run's recorder."""
+    return current().recorder.warn(code, message, **context)
 
 
 def aggregate_warnings(warnings: list[dict]) -> list[dict]:

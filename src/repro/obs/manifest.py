@@ -60,11 +60,10 @@ def build_manifest(
     unserved run.
     """
     from .. import __version__
-    from ..perf.cache import CACHE_DIR_ENV, get_cache
-    from ..pipeline.store import STORE_DIR_ENV, get_store
+    from ..context import CACHE_DIR_ENV, STORE_DIR_ENV, current
 
-    cache = get_cache()
-    store = get_store()
+    ctx = current()
+    cache, store = ctx.cache, ctx.store
     manifest: dict = {
         "format": MANIFEST_FORMAT,
         "command": command,
@@ -105,9 +104,7 @@ def build_manifest(
             }
     elif corpus_size is not None:
         manifest["projects"] = corpus_size
-        from .metrics import get_metrics
-
-        manifest["metrics"] = get_metrics().snapshot().as_dict()
+        manifest["metrics"] = ctx.metrics.snapshot().as_dict()
     warnings = warnings if warnings is not None else []
     manifest["warnings"] = aggregate_warnings(warnings)
     manifest["warning_count"] = len(warnings)

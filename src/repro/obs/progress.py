@@ -10,14 +10,12 @@ tracker periodically emits a ``progress`` event —
 ``{"event": "progress", "stage": ..., "done": N, "total": M,
 "percent": ..., "eta_seconds": ..., "slowest": [...]}``
 
-— to the process's :class:`ProgressChannel`.  The channel fans the
-record out to up to two places:
-
-* ``sink`` — the ``--log-json`` event log (wired by ``ObsSession``
-  whenever a log is open, so progress history lands in the same JSONL
-  stream as spans and warnings and validates under the same schema);
-* ``stream`` — the opt-in ``--progress`` TTY line on stderr
-  (carriage-return refresh on a real terminal, plain lines otherwise).
+— to the run context's :class:`ProgressChannel`.  The channel
+publishes the record on the telemetry bus, where the ``--log-json``
+event log (a bus sink wired by ``ObsSession``) and any live consumer
+pick it up, and writes the opt-in ``--progress`` TTY line to its
+``stream`` (carriage-return refresh on a real terminal, plain lines
+otherwise).
 
 ETA comes from the live :class:`~repro.perf.timing.StudyTimings` when
 the stage records per-item seconds (mean summed worker seconds per
@@ -35,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 
-from .bus import get_bus
+from ..context import current
 
 #: Environment variable overriding the heartbeat interval (seconds).
 PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
@@ -112,17 +110,13 @@ def render_progress_line(record: dict) -> str:
 
 
 class ProgressChannel:
-    """Where heartbeats go: an event sink and/or a terminal stream.
+    """Where heartbeats go: the telemetry bus and/or a terminal stream.
 
-    Both default to ``None`` — the channel (and every tracker feeding
-    it) is inert until ``ObsSession`` wires ``sink`` to an open event
-    log and/or ``--progress`` wires ``stream`` to stderr.
+    The channel (and every tracker feeding it) is inert until a bus
+    consumer subscribes or ``--progress`` wires ``stream`` to stderr.
     """
 
     def __init__(self):
-        #: Optional callable receiving each progress record (the
-        #: ``--log-json`` event log registers here).
-        self.sink = None
         #: Optional text stream for the live line (``--progress``).
         self.stream = None
         #: Minimum seconds between heartbeats per tracker.
@@ -138,21 +132,17 @@ class ProgressChannel:
         top`` dashboard — counts as listening, so heartbeats start
         flowing the moment someone subscribes.
         """
-        if self.sink is not None or self.stream is not None:
+        if self.stream is not None:
             return True
-        return get_bus().active
+        return current().bus.active
 
     def deliver(self, record: dict) -> None:
-        """Publish one progress record; fan out to sink and stream.
+        """Publish one progress record; render it to the TTY stream.
 
         The bus carries the record to every subscribed consumer
-        (including the event log, registered there as a sink); the
-        legacy ``sink`` attribute and the TTY ``stream`` stay for
-        direct wiring.
+        (including the event log, registered there as a sink).
         """
-        get_bus().publish("progress", record)
-        if self.sink is not None:
-            self.sink(record)
+        current().bus.publish("progress", record)
         if self.stream is not None:
             self._write_line(render_progress_line(record))
 
@@ -198,7 +188,7 @@ class ProgressTracker:
     ):
         self.stage = stage
         self.total = total
-        self.channel = channel if channel is not None else get_progress()
+        self.channel = channel if channel is not None else current().progress
         self.timings = timings
         self.done = 0
         self.slowest: list[tuple[float, str]] = []
@@ -272,24 +262,3 @@ class ProgressTracker:
                 self.slowest,
             )
         )
-
-
-# ----------------------------------------------------------------------
-# the process-global channel
-
-_active: ProgressChannel | None = None
-
-
-def get_progress() -> ProgressChannel:
-    """The process's progress channel (created on first use)."""
-    global _active
-    if _active is None:
-        _active = ProgressChannel()
-    return _active
-
-
-def reset_progress() -> ProgressChannel:
-    """Replace the active channel with a fresh, unwired one."""
-    global _active
-    _active = ProgressChannel()
-    return _active

@@ -92,9 +92,9 @@ def registry_for_store(store=None) -> RunRegistry | None:
     die with the process).
     """
     if store is None:
-        from ..pipeline.store import get_store
+        from ..context import current
 
-        store = get_store()
+        store = current().store
     root = getattr(store, "root", None)
     return RunRegistry(root) if root else None
 

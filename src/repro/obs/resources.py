@@ -227,17 +227,6 @@ class ResourceMonitor:
         return ResourceMonitor._WindowContext(self)
 
 
-_active: ResourceMonitor | None = None
-
-
-def get_monitor() -> ResourceMonitor:
-    """The process's resource monitor (created on first use)."""
-    global _active
-    if _active is None:
-        _active = ResourceMonitor()
-    return _active
-
-
 class MemoryLimitExceeded(RuntimeError):
     """``--limit-memory`` was breached: driver RSS crossed the cap."""
 

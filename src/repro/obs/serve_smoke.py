@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import socket
 import sys
 import tempfile
@@ -51,18 +50,6 @@ VOLATILE_EVENT_FIELDS = (
     "ts", "seconds", "eta_seconds", "slowest", "peak_rss_bytes",
     "cpu_seconds",
 )
-
-
-def _reset_globals() -> None:
-    from ..pipeline.store import configure_store
-    from .bus import reset_bus
-    from .events import reset_recorder
-    from .metrics import reset_metrics
-
-    configure_store(None)
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
 
 
 def _study_argv(out: Path, *, serve: bool) -> list[str]:
@@ -132,12 +119,15 @@ def _get(url: str, timeout: float = 30, headers: dict | None = None):
 def main() -> int:  # noqa: C901 — one linear smoke script
     from repro.cli import main as cli_main
 
+    from . import progress
     from . import server as server_mod
     from .export import validate_prometheus_text
     from .top import sse_events
 
     failures: list[str] = []
-    os.environ["REPRO_PROGRESS_INTERVAL"] = "0"  # deterministic beats
+    # deterministic beats: every CLI run's channel starts at interval 0
+    saved_interval = progress.DEFAULT_INTERVAL
+    progress.DEFAULT_INTERVAL = 0.0
     try:
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
             tmp_path = Path(tmp)
@@ -147,14 +137,12 @@ def main() -> int:  # noqa: C901 — one linear smoke script
             served.mkdir()
 
             # baseline: the same study, no server attached
-            _reset_globals()
             if cli_main(_study_argv(unserved, serve=False)) != 0:
                 print(
                     "serve-smoke FAIL: unserved baseline study failed",
                     file=sys.stderr,
                 )
                 return 1
-            _reset_globals()
 
             # served run: --serve 0 --serve-linger on a worker thread;
             # capture the server handle off .start() so the probes (and
@@ -369,8 +357,7 @@ def main() -> int:  # noqa: C901 — one linear smoke script
                     "manifests differ beyond the server block"
                 )
     finally:
-        os.environ.pop("REPRO_PROGRESS_INTERVAL", None)
-        _reset_globals()
+        progress.DEFAULT_INTERVAL = saved_interval
 
     if failures:
         for failure in failures:

@@ -27,10 +27,10 @@ store and the run registry already know:
 ========================  =============================================
 
 The server is an *observer*: every handler reads live state (bus ring,
-metrics snapshot, store keys) without mutating any of it, and its own
-counters live on the server object — never in the global metrics
-registry — so a served run's artifacts stay byte-identical to an
-unserved one.  ``/metrics`` merges the bus and server counters into a
+metrics snapshot, store keys) of the run context it was built in
+without mutating any of it, and its own counters live on the server
+object — never in the run's metrics registry — so a served run's
+artifacts stay byte-identical to an unserved one.  ``/metrics`` merges the bus and server counters into a
 *copy* of the snapshot at render time for the same reason.
 
 Replay horizon: ``/events`` reconnects resume exactly where they left
@@ -49,9 +49,8 @@ import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .bus import get_bus
+from ..context import current
 from .export import prometheus_text
-from .metrics import get_metrics
 
 #: Default bind host — loopback only; telemetry is not a public service.
 DEFAULT_HOST = "127.0.0.1"
@@ -215,7 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(matches[0])
 
     def _serve_events(self, owner: "ObservabilityServer", query) -> None:
-        bus = get_bus()
+        bus = owner.bus
         last_id = _parse_last_id(self.headers, query)
         limit = _parse_limit(query)
         subscription = bus.subscribe(last_id=last_id)
@@ -264,7 +263,8 @@ class ObservabilityServer:
     ``pipeline_factory`` is a zero-argument callable returning the
     :class:`~repro.pipeline.graph.Pipeline` whose stage table
     ``/status`` reports — built lazily on first request and cached, so
-    an unvisited endpoint costs nothing.
+    an unvisited endpoint costs nothing.  The server observes the run
+    context current when it is constructed.
     """
 
     def __init__(
@@ -277,6 +277,11 @@ class ObservabilityServer:
         self.host = host
         self.requested_port = port
         self.pipeline_factory = pipeline_factory
+        #: The observed run.  Its bus is resolved here, on the
+        #: constructing thread, so no handler thread races to build a
+        #: second one.
+        self.context = current()
+        self.bus = self.context.bus
         self.started_at: float | None = None
         self.stopping = threading.Event()
         self.requests = 0
@@ -367,19 +372,19 @@ class ObservabilityServer:
             "uptime_seconds": round(
                 time.time() - (self.started_at or time.time()), 3
             ),
-            "bus": get_bus().stats(),
+            "bus": self.bus.stats(),
         }
 
     def metrics_page(self) -> str:
         """The live snapshot plus bus/server counters, rendered.
 
-        The merge happens on a *copy* of the snapshot dict: the global
+        The merge happens on a *copy* of the snapshot dict: the run's
         registry never sees a bus or server counter, which is what
         keeps a served run's manifest metrics identical to an unserved
         run's.
         """
-        snapshot = get_metrics().snapshot().as_dict()
-        stats = get_bus().stats()
+        snapshot = self.context.metrics.snapshot().as_dict()
+        stats = self.bus.stats()
         counters = dict(snapshot.get("counters", {}))
         counters["bus.published"] = stats["published"]
         counters["bus.dropped"] = stats["dropped"]
@@ -395,10 +400,9 @@ class ObservabilityServer:
         })
 
     def registry(self):
-        from ..pipeline.store import get_store
         from .registry import registry_for_store
 
-        return registry_for_store(get_store())
+        return registry_for_store(self.context.store)
 
     def _get_pipeline(self):
         if self._pipeline is None and self.pipeline_factory is not None:
@@ -467,5 +471,5 @@ class ObservabilityServer:
                 "requests": self.requests,
                 "events_served": self.events_served,
                 "paths": dict(sorted(self.paths.items())),
-                "bus": get_bus().stats(),
+                "bus": self.bus.stats(),
             }

@@ -65,12 +65,12 @@ def _span_names(spans: list[dict]) -> list[str]:
 
 def main() -> int:
     from ..analysis.study import run_study
+    from ..context import RunContext
     from . import (
         ObsSession,
         chrome_trace,
         compare_samples,
         folded_stacks,
-        get_progress,
         prometheus_text,
         sample_from_dict,
         validate_event_log,
@@ -90,21 +90,23 @@ def main() -> int:
         baseline_csv = _measures_bytes(baseline, tmp_path / "baseline.csv")
 
         # traced, parallel — the worker-merge path
-        session = ObsSession(
-            command="trace-smoke",
-            trace_path=trace_path,
-            log_path=log_path,
-            manifest_path=manifest_path,
-        )
-        session.seed = SMOKE_SEED
-        session.jobs = SMOKE_JOBS
-        # emit a heartbeat on every completion so the smoke corpus is
-        # big enough to exercise the progress path deterministically
-        get_progress().interval = 0.0
-        corpus = _smoke_corpus()
-        study = run_study(corpus, jobs=SMOKE_JOBS)
-        session.study = study
-        session.finalize(status="ok")
+        with RunContext(trace=True).installed() as ctx:
+            session = ObsSession(
+                command="trace-smoke",
+                trace_path=trace_path,
+                log_path=log_path,
+                manifest_path=manifest_path,
+            )
+            session.seed = SMOKE_SEED
+            session.jobs = SMOKE_JOBS
+            # emit a heartbeat on every completion so the smoke corpus
+            # is big enough to exercise the progress path
+            # deterministically
+            ctx.progress.interval = 0.0
+            corpus = _smoke_corpus()
+            study = run_study(corpus, jobs=SMOKE_JOBS)
+            session.study = study
+            session.finalize(status="ok")
 
         traced_csv = _measures_bytes(study, tmp_path / "traced.csv")
         if traced_csv != baseline_csv:

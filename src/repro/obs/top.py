@@ -269,9 +269,9 @@ def bus_envelopes(*, max_idle_seconds: float = 10.0):
     Yields until the stream goes quiet for ``max_idle_seconds`` (or a
     ``run`` marker arrives, which :func:`run_top` treats as the end).
     """
-    from .bus import get_bus
+    from ..context import current
 
-    subscription = get_bus().subscribe()
+    subscription = current().bus.subscribe()
     try:
         while True:
             envelope = subscription.get(timeout=max_idle_seconds)

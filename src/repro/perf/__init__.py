@@ -25,8 +25,6 @@ from .cache import (
     CacheStats,
     ParseCache,
     cached_parse_schema,
-    configure_cache,
-    get_cache,
 )
 from .pool import shutdown_pools, warm_pool
 from .timing import StudyTimings, stage_timer
@@ -36,8 +34,6 @@ __all__ = [
     "ParseCache",
     "StudyTimings",
     "cached_parse_schema",
-    "configure_cache",
-    "get_cache",
     "shutdown_pools",
     "stage_timer",
     "warm_pool",

@@ -9,9 +9,8 @@ script text plus the dialect hint, so identical inputs are parsed once:
 * the key also folds in a digest of the parser's own source
   (:func:`parser_source_digest`), so a lexer or parser fix never
   replays results pickled by the old code;
-* the in-memory layer is process-local and always on;
-* the optional on-disk layer (``cache_dir`` / ``REPRO_CACHE_DIR``)
-  persists pickled :class:`~repro.sqlparser.ParseResult` objects across
+* the in-memory layer belongs to one run context and is always on;
+* the optional on-disk layer (the context's ``cache_dir``) persists pickled :class:`~repro.sqlparser.ParseResult` objects across
   processes and runs.  Writes are atomic (temp file + ``os.replace``),
   so concurrent workers sharing a directory never observe torn entries;
   each worker process still warms its own in-memory layer.
@@ -26,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import importlib
 import inspect
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from ..context import current
 from ..pipeline.fingerprint import digest_text
 from ..pipeline.store import atomic_write_pickle, read_pickle
 from ..sqlparser import ParseResult, parse_schema
@@ -41,9 +40,6 @@ from .fragments import (
     compile_fragment,
     parse_schema_fragmented,
 )
-
-#: Environment variable enabling the on-disk store for the default cache.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: The modules whose code produces a :class:`ParseResult`.
 PARSER_MODULES = (
@@ -344,41 +340,8 @@ class ParseCache:
             self._warn_degraded(path.parent, exc)
 
 
-# ----------------------------------------------------------------------
-# the process-global default cache
-_active: ParseCache | None = None
-
-
-def get_cache() -> ParseCache:
-    """The process's active cache (created on first use).
-
-    Honours :data:`CACHE_DIR_ENV` at creation time, so worker processes
-    — forked or spawned — pick up the study's ``--cache-dir`` without
-    any explicit plumbing.
-    """
-    global _active
-    if _active is None:
-        _active = ParseCache(cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-    return _active
-
-
-def configure_cache(cache_dir: str | Path | None = None) -> ParseCache:
-    """Replace the active cache (fresh counters, optional disk store).
-
-    Also exports :data:`CACHE_DIR_ENV` so worker processes spawned later
-    inherit the same disk store.
-    """
-    global _active
-    if cache_dir is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    else:
-        os.environ.pop(CACHE_DIR_ENV, None)
-    _active = ParseCache(cache_dir=cache_dir)
-    return _active
-
-
 def cached_parse_schema(
     text: str, *, dialect: str | None = None
 ) -> ParseResult:
-    """Drop-in replacement for ``parse_schema`` through the active cache."""
-    return get_cache().parse(text, dialect=dialect)
+    """Drop-in replacement for ``parse_schema`` through the run's cache."""
+    return current().cache.parse(text, dialect=dialect)

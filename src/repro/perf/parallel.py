@@ -33,13 +33,11 @@ from ..corpus.generator import (
     generate_project,
 )
 from ..corpus.profiles import TaxonProfile
+from ..context import RunContext, current, install
 from ..mining import mine_project
-from ..obs.bus import reset_bus
-from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..obs.metrics import MetricsSnapshot
 from ..obs.resources import cpu_times, peak_rss_bytes
-from ..obs.trace import get_tracer
-from .cache import CacheStats, get_cache
+from .cache import CacheStats
 
 
 #: CPU clock at this worker's previous resource sample (first set by
@@ -49,32 +47,26 @@ from .cache import CacheStats, get_cache
 _worker_cpu_mark: tuple[float, float] | None = None
 
 
-def worker_init() -> None:
-    """Detach inherited observability hooks in a pool worker.
+def worker_init(config: tuple[bool, str | None]) -> None:
+    """Install a pool worker's own run context.
 
-    Forked workers inherit the driver's tracer and recorder *including*
-    any live ``on_close``/``sink`` wired to an open ``--log-json``
-    handle; left in place, every worker span and warning would be
-    written twice — once from the worker through the duplicated file
-    descriptor and once when the driver replays it at attach time.
-    Workers therefore run sink-less: their spans and warnings travel
-    back inside the :class:`MinedHistory` and the driver alone emits
-    them.
-    The telemetry bus is reset for the same reason — a forked worker
-    inherits the driver's bus *with* its event-log sink attached, and
-    publishing through it would write through the duplicated file
-    descriptor.  Workers publish into a fresh, consumer-less bus.
+    ``config`` is the driver context's
+    :attr:`~repro.context.RunContext.worker_config` — ``(trace,
+    cache_dir)`` — passed as the pool's ``initargs``.  The worker
+    builds a fresh, store-less context from it rather than using the
+    one it inherited when forked: that one's bus may hold the driver's
+    ``--log-json`` sink, and writing through the duplicated file
+    descriptor would log every worker span and warning twice.  Worker
+    spans and warnings travel back inside the :class:`MinedHistory`
+    and the driver alone emits them.
 
     Also marks the worker's CPU baseline so shipped resource samples
     report the worker's *work*, not its import/fork overhead, and so
     the serial path (where this initializer never runs) ships no
     sample at all.
     """
-    tracer = get_tracer()
-    tracer.on_close = None
-    tracer.publish = False
-    get_recorder().sink = None
-    reset_bus()
+    trace, cache_dir = config
+    install(RunContext(trace=trace, cache_dir=cache_dir))
     # a worker forked while --serve is up inherits the listening
     # socket fd; left open, the kernel keeps accepting on the port
     # after the driver shuts the server down (guarded import: a no-op
@@ -146,10 +138,9 @@ def mine_one(
     :class:`~repro.mining.sources.HistorySource` the schema half mines
     through (the workload's source half; ``"ddl"`` is canonical).
     """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    recorder = get_recorder()
-    cache_before = get_cache().stats
+    ctx = current()
+    tracer, metrics, recorder = ctx.tracer, ctx.metrics, ctx.recorder
+    cache_before = ctx.cache.stats
     metrics_before = metrics.snapshot()
     warn_mark = recorder.mark()
     with tracer.detached(
@@ -171,7 +162,7 @@ def mine_one(
         history=history,
         true_taxon=project.true_taxon,
         seconds=done - start,
-        cache=get_cache().stats - cache_before,
+        cache=ctx.cache.stats - cache_before,
         metrics=metrics.snapshot() - metrics_before,
         warnings=recorder.since(warn_mark),
         trace=span.to_dict() if tracer.enabled else None,
@@ -202,11 +193,11 @@ def fold_mined(
     if mined.trace is not None:
         # a worker's span closes were invisible to the driver's sinks,
         # so with jobs > 1 attaching re-emits their events
-        get_tracer().attach(mined.trace, emit=jobs > 1)
+        current().tracer.attach(mined.trace, emit=jobs > 1)
     if mined.warnings and jobs > 1:
         # worker warnings replay here so the driver's recorder (and any
         # --log-json sink) sees them exactly once
-        recorder = get_recorder()
+        recorder = current().recorder
         for record in mined.warnings:
             recorder.replay(record)
     return metrics + mined.metrics

@@ -11,10 +11,15 @@ reusable.
 :func:`warm_pool` hands out a process-wide executor keyed on
 
 * ``jobs`` — pools of different widths coexist (tests mix widths), and
-* the active :data:`~repro.perf.cache.CACHE_DIR_ENV` value — workers
-  capture the cache directory when their process starts, so changing
-  the configured cache dir must retire the old workers rather than let
-  them keep writing to the stale location.
+* the current run context's ``worker_config`` — ``(trace, cache_dir)``,
+  the settings each worker's initializer builds its own context from.
+  Workers keep those settings for life, so a run with different ones
+  (tracing on, another cache dir) gets its own pool rather than
+  workers that silently drop its spans or write to a stale location.
+
+The pools are deliberately process-wide, not part of a run context:
+they outlive runs so that consecutive runs with the same settings
+reuse warm workers.
 
 Pools are retained LRU up to a small cap, a broken pool (a worker
 died; the executor poisons itself permanently) is detected and
@@ -27,19 +32,14 @@ whether warm or cold.
 from __future__ import annotations
 
 import atexit
-import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .cache import CACHE_DIR_ENV
+from ..context import current
 
-#: How many distinct (jobs, cache_dir) pools to keep alive at once.
+#: How many distinct (jobs, worker_config) pools to keep alive at once.
 _MAX_POOLS = 4
 
-_pools: dict[tuple[int, str], ProcessPoolExecutor] = {}
-
-
-def _pool_key(jobs: int) -> tuple[int, str]:
-    return (jobs, os.environ.get(CACHE_DIR_ENV) or "")
+_pools: dict[tuple, ProcessPoolExecutor] = {}
 
 
 def warm_pool(jobs: int) -> ProcessPoolExecutor:
@@ -50,7 +50,8 @@ def warm_pool(jobs: int) -> ProcessPoolExecutor:
     workers died is replaced transparently, so callers never see a
     ``BrokenProcessPool`` left over from an earlier run's crash.
     """
-    key = _pool_key(jobs)
+    config = current().worker_config
+    key = (jobs, config)
     pool = _pools.get(key)
     if pool is not None and getattr(pool, "_broken", False):
         _pools.pop(key, None)
@@ -61,7 +62,9 @@ def warm_pool(jobs: int) -> ProcessPoolExecutor:
         # stack, which itself imports repro.perf at package init
         from .parallel import worker_init
 
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=worker_init)
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, initializer=worker_init, initargs=(config,)
+        )
         _pools[key] = pool
     else:
         # LRU refresh: re-insert at the end of the dict order

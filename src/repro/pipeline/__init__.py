@@ -28,14 +28,11 @@ from .fingerprint import (
 )
 from .store import (
     ARTIFACT_FORMAT,
-    STORE_DIR_ENV,
     Artifact,
     ArtifactStore,
     DirStore,
     MemoryStore,
     StoreStats,
-    configure_store,
-    get_store,
 )
 
 _LAZY = {
@@ -73,18 +70,15 @@ __all__ = [
     "REDUCE_STAGE_NAMES",
     "STAGES",
     "STAGE_NAMES",
-    "STORE_DIR_ENV",
     "ShardSpec",
     "StageOutput",
     "StageSpec",
     "StoreStats",
     "analyze_one",
     "canonical_params",
-    "configure_store",
     "dependents_of",
     "digest_text",
     "family_fingerprint",
-    "get_store",
     "pipeline_study",
     "plan_shards",
     "profile_digest",

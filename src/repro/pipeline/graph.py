@@ -37,14 +37,11 @@ from dataclasses import replace
 
 from ..corpus.generator import DEFAULT_SEED, corpus_specs, iter_corpus_specs
 from ..corpus.profiles import corpus_size, scaled_profiles, sized_profiles
-from ..obs.bus import get_bus
-from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..context import current
+from ..obs.metrics import MetricsSnapshot
 from ..obs.progress import ProgressTracker
 from ..obs.provenance import PROVENANCE_FORMAT, explain_target
-from ..obs.resources import MemoryWatchdog, get_monitor
-from ..obs.trace import get_tracer
-from ..perf.cache import get_cache
+from ..obs.resources import MemoryWatchdog
 from ..perf.parallel import (
     ShardResult,
     ShardTask,
@@ -71,7 +68,7 @@ from .stages import (
     dependents_of,
     stage_source_digest,
 )
-from .store import Artifact, ArtifactStore, get_store
+from .store import Artifact, ArtifactStore
 
 
 class Pipeline:
@@ -132,7 +129,7 @@ class Pipeline:
         self.window = window
         self.jobs = max(1, jobs)
         self.report_format = report_format
-        self.store = store if store is not None else get_store()
+        self.store = store if store is not None else current().store
         self.code_versions = {**CODE_VERSIONS, **(code_versions or {})}
         self.project_overrides = dict(project_overrides or {})
         self.timings = StudyTimings(jobs=self.jobs)
@@ -311,11 +308,12 @@ class Pipeline:
             )
         self._count_miss(stage)
         inputs = {dep: self.resolve(dep).payload for dep in spec.deps}
-        recorder = get_recorder()
+        ctx = current()
+        recorder = ctx.recorder
         mark = recorder.mark()
-        with get_tracer().span(
+        with ctx.tracer.span(
             f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
-        ), get_monitor().window() as window:
+        ), ctx.monitor.window() as window:
             start = time.perf_counter()
             output = spec.compute(self, inputs)
             seconds = time.perf_counter() - start
@@ -359,7 +357,8 @@ class Pipeline:
                 stage, key, artifact, time.perf_counter() - load_start
             )
         self._count_miss(stage)
-        recorder = get_recorder()
+        ctx = current()
+        recorder = ctx.recorder
         mark = recorder.mark()
         self._map_delta = MetricsSnapshot()
         produced = [0.0]
@@ -382,9 +381,9 @@ class Pipeline:
         try:
             if spill is not None:
                 self.spill_dir = spill.name
-            with get_tracer().span(
+            with ctx.tracer.span(
                 f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
-            ), get_monitor().window() as window:
+            ), ctx.monitor.window() as window:
                 fold_start = time.perf_counter()
                 output = compute_aggregate(
                     self, {"analyze": timed_payloads()}
@@ -481,7 +480,7 @@ class Pipeline:
                 )
 
         try:
-            with get_tracer().span("map", shards=total):
+            with current().tracer.span("map", shards=total):
                 for shard, value in window_map(
                     map_shard,
                     planned(),
@@ -507,7 +506,7 @@ class Pipeline:
                                 tracker.set_parallelism(
                                     min(self.jobs, limit[0])
                                 )
-                            cache = get_cache()
+                            cache = current().cache
                             if len(cache):
                                 # shards are mined whole, so a clear
                                 # between folds never splits a
@@ -536,7 +535,7 @@ class Pipeline:
         if result.generated is not None:
             project = result.generated
             if project.trace is not None:
-                get_tracer().attach(project.trace, emit=self.jobs > 1)
+                current().tracer.attach(project.trace, emit=self.jobs > 1)
                 project.trace = None
             self.timings.record("generate", result.generate_seconds)
             generated_delta = MetricsSnapshot(
@@ -566,8 +565,8 @@ class Pipeline:
 
     def _analyze_shard(self, shard: ShardSpec, mined: MinedProject) -> dict:
         """Analyze one shard driver-side and store its artifact."""
-        registry = get_metrics()
-        recorder = get_recorder()
+        ctx = current()
+        registry, recorder = ctx.metrics, ctx.recorder
         before = registry.snapshot()
         mark = recorder.mark()
         start = time.perf_counter()
@@ -600,7 +599,7 @@ class Pipeline:
             self._count_miss(stage)
             return None
         load_seconds = time.perf_counter() - load_start
-        get_metrics().inc("artifact.hit")
+        current().metrics.inc("artifact.hit")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.hit": 1}
         )
@@ -609,7 +608,7 @@ class Pipeline:
         self._publish_artifact(
             stage, "hit", project=shard.project, key=key
         )
-        recorder = get_recorder()
+        recorder = current().recorder
         for record in artifact.meta.get("warnings") or ():
             recorder.replay(record)
         delta = artifact.meta.get("metrics")
@@ -709,7 +708,7 @@ class Pipeline:
         the JSONL event log — its bus sink filters them out — so log
         bytes are unchanged by serving.
         """
-        bus = get_bus()
+        bus = current().bus
         if not bus.active:
             return
         data: dict = {
@@ -732,7 +731,7 @@ class Pipeline:
         rates while the run is still going.  Same gating as
         :meth:`_publish_artifact`.
         """
-        bus = get_bus()
+        bus = current().bus
         if not bus.active:
             return
         counters = dict(
@@ -755,7 +754,7 @@ class Pipeline:
         self, stage: str, key: str, artifact: Artifact, load_seconds: float
     ) -> Artifact:
         """Account one reduce-stage hit and replay its side-channels."""
-        get_metrics().inc("artifact.hit")
+        current().metrics.inc("artifact.hit")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.hit": 1}
         )
@@ -763,11 +762,11 @@ class Pipeline:
         self.timings.record_artifact(stage, hit=True)
         # the honest cost of a hit: just the load
         self.timings.record(stage, load_seconds)
-        with get_tracer().span(
+        with current().tracer.span(
             f"stage:{stage}", artifact="hit", fingerprint=key[:12]
         ):
             pass
-        recorder = get_recorder()
+        recorder = current().recorder
         for record in artifact.meta.get("warnings") or ():
             # warm runs surface the cold run's warnings — the manifest
             # of a replayed study matches the original
@@ -780,7 +779,7 @@ class Pipeline:
         return artifact
 
     def _count_miss(self, stage: str) -> None:
-        get_metrics().inc("artifact.miss")
+        current().metrics.inc("artifact.miss")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.miss": 1}
         )
@@ -849,11 +848,12 @@ class Pipeline:
 
         if self._study is not None:
             return self._study
-        tracer = get_tracer()
+        ctx = current()
+        tracer = ctx.tracer
         start = time.perf_counter()
         with tracer.span(
             "pipeline", seed=self.seed, scale=self.scale, jobs=self.jobs
-        ), get_monitor().window() as window:
+        ), ctx.monitor.window() as window:
             aggregate = self.resolve("aggregate")
             figures = self.resolve("figures")
             statistics = self.resolve("statistics")

@@ -45,8 +45,6 @@ SPILL_ASSERT_FLOOR = 1200
 
 def main() -> int:
     from ..mining.aggregates import AggregateAccumulator
-    from ..obs.events import reset_recorder
-    from ..obs.metrics import reset_metrics
     from .graph import Pipeline
     from .store import DirStore
 
@@ -64,8 +62,6 @@ def main() -> int:
         store_dir = Path(tmp) / "artifacts"
 
         def pipeline() -> Pipeline:
-            reset_recorder()
-            reset_metrics()
             return Pipeline(
                 seed=SMOKE_SEED,
                 projects=n_projects,
@@ -153,8 +149,6 @@ def main() -> int:
             "the warm capped rerun recomputed a clean stage",
         )
 
-    reset_recorder()
-    reset_metrics()
     if failures:
         for failure in failures:
             print(f"scale-smoke FAIL: {failure}", file=sys.stderr)

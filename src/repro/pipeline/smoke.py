@@ -45,8 +45,6 @@ SMOKE_JOBS = 4
 
 
 def main() -> int:
-    from ..obs.events import reset_recorder
-    from ..obs.metrics import reset_metrics
     from .graph import Pipeline
     from .stages import MAP_STAGE_NAMES, REDUCE_STAGE_NAMES, STAGE_NAMES
     from .store import DirStore
@@ -61,8 +59,6 @@ def main() -> int:
         store_dir = Path(tmp) / "artifacts"
 
         def pipeline(jobs: int = 1, **kwargs) -> Pipeline:
-            reset_recorder()
-            reset_metrics()
             kwargs.setdefault("seed", SMOKE_SEED)
             return Pipeline(
                 scale=SMOKE_SCALE,
@@ -298,8 +294,6 @@ def main() -> int:
             "the median-of-history baseline lost the peak-RSS figure",
         )
 
-    reset_recorder()
-    reset_metrics()
     if failures:
         for failure in failures:
             print(f"pipeline-smoke FAIL: {failure}", file=sys.stderr)

@@ -39,8 +39,6 @@ DIALECT = "sqlite"
 
 
 def main() -> int:
-    from ..obs.events import reset_recorder
-    from ..obs.metrics import reset_metrics
     from .graph import Pipeline
     from .stages import MAP_STAGE_NAMES, REDUCE_STAGE_NAMES
     from .store import DirStore
@@ -55,8 +53,6 @@ def main() -> int:
         store_dir = Path(tmp) / "artifacts"
 
         def pipeline(jobs: int = 1, **kwargs) -> Pipeline:
-            reset_recorder()
-            reset_metrics()
             kwargs.setdefault("seed", SMOKE_SEED)
             kwargs.setdefault("dialect", DIALECT)
             return Pipeline(
@@ -184,13 +180,9 @@ def main() -> int:
             prefix="repro-sqlite-smoke-canon-"
         ) as tmp2:
             canon_store = DirStore(Path(tmp2) / "artifacts")
-            reset_recorder()
-            reset_metrics()
             Pipeline(
                 seed=SMOKE_SEED, scale=SMOKE_SCALE, store=canon_store
             ).report()
-            reset_recorder()
-            reset_metrics()
             switcher = Pipeline(
                 seed=SMOKE_SEED,
                 scale=SMOKE_SCALE,
@@ -244,8 +236,6 @@ def main() -> int:
             "registry records mis-carry the workload dialect",
         )
 
-    reset_recorder()
-    reset_metrics()
     if failures:
         for failure in failures:
             print(f"sqlite-smoke FAIL: {failure}", file=sys.stderr)

@@ -59,7 +59,8 @@ from typing import Callable
 
 from ..heartbeat import ZeroTotalError
 from ..obs.events import warn
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..context import current
+from ..obs.metrics import MetricsSnapshot
 from .fingerprint import digest_text
 
 # Per-stage code versions.  Bump a constant when the stage's computation
@@ -142,7 +143,7 @@ def analyze_one(mined: MinedProject) -> dict:
         row = analyze_project(mined.history, true_taxon=mined.true_taxon)
     except ZeroTotalError:
         row = None
-        get_metrics().inc("projects.skipped")
+        current().metrics.inc("projects.skipped")
         warn(
             "empty-history",
             f"{mined.name}: zero total activity on one side; "

@@ -9,18 +9,20 @@ run can replay the observability side-channels of the cold one.
 
 Two implementations share the interface:
 
-* :class:`MemoryStore` — a process-local dict; the default, and what
-  tests use.  Payloads are stored as live objects (no pickle round
-  trip), so repeated lookups return the *same* object — callers treat
-  artifacts as immutable, exactly like parse-cache entries.
-* :class:`DirStore` — an on-disk store rooted at ``--store-dir`` /
-  :data:`STORE_DIR_ENV`.  Entries are single files written atomically
-  (temp file + ``os.replace``), each a pickled envelope whose payload
-  bytes carry their own SHA-256: a truncated or bit-flipped entry
-  fails the digest (or the unpickle) and is treated as a miss with a
-  ``store-corrupt`` warning — the pipeline recomputes, it never serves
-  bad bytes.  An unusable root degrades to memory-only with a
-  ``store-dir-degraded`` warning, mirroring the parse cache.
+* :class:`MemoryStore` — a dict private to one run context; the
+  default, and what tests use.  Payloads are stored as live objects
+  (no pickle round trip), so repeated lookups return the *same*
+  object — callers treat artifacts as immutable, exactly like
+  parse-cache entries.
+* :class:`DirStore` — an on-disk store rooted at the run context's
+  ``store_dir`` (``--store-dir``, or ``REPRO_STORE_DIR`` by default).
+  Entries are single files written atomically (temp file +
+  ``os.replace``), each a pickled envelope whose payload bytes carry
+  their own SHA-256: a truncated or bit-flipped entry fails the digest
+  (or the unpickle) and is treated as a miss with a ``store-corrupt``
+  warning — the pipeline recomputes, it never serves bad bytes.  An
+  unusable root degrades to memory-only with a ``store-dir-degraded``
+  warning, mirroring the parse cache.
 
 The atomic pickle-file helpers (:func:`atomic_write_pickle`,
 :func:`read_pickle`) are shared with :class:`repro.perf.cache.ParseCache`
@@ -35,9 +37,6 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-
-#: Environment variable enabling the on-disk store for the default store.
-STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Format tag of the on-disk artifact envelope.
 ARTIFACT_FORMAT = "repro-artifact-v1"
@@ -425,40 +424,3 @@ class DirStore(ArtifactStore):
             return path.stat().st_size
         except OSError:
             return None
-
-
-# ----------------------------------------------------------------------
-# the process-global default store
-
-_active: ArtifactStore | None = None
-
-
-def get_store() -> ArtifactStore:
-    """The process's active artifact store (created on first use).
-
-    Honours :data:`STORE_DIR_ENV` at creation time, so library calls and
-    CLI invocations alike resolve through the same disk store when one
-    is configured in the environment.
-    """
-    global _active
-    if _active is None:
-        store_dir = os.environ.get(STORE_DIR_ENV) or None
-        _active = DirStore(store_dir) if store_dir else MemoryStore()
-    return _active
-
-
-def configure_store(store_dir: str | Path | None = None) -> ArtifactStore:
-    """Replace the active store (fresh counters, optional disk root).
-
-    Also exports :data:`STORE_DIR_ENV` so worker processes spawned later
-    agree on the store location (workers never write artifacts — stages
-    are driver-side — but the manifest they help build records it).
-    """
-    global _active
-    if store_dir is not None:
-        os.environ[STORE_DIR_ENV] = str(store_dir)
-        _active = DirStore(store_dir)
-    else:
-        os.environ.pop(STORE_DIR_ENV, None)
-        _active = MemoryStore()
-    return _active

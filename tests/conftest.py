@@ -1,0 +1,25 @@
+"""Shared test fixtures."""
+
+import pytest
+
+from repro.context import RunContext
+
+
+@pytest.fixture(autouse=True)
+def run_context():
+    """Run every test in a fresh :class:`RunContext` (empty recorder,
+    zeroed metrics, untraced, in-memory store and parse cache)."""
+    with RunContext().installed() as ctx:
+        yield ctx
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_fixture_setup(fixturedef, request):
+    """Build module-, class- and session-scoped fixtures (the shared
+    studies) in a fresh context of their own as well, never in one
+    left over from another test or read from the environment."""
+    if fixturedef.scope == "function":
+        yield
+        return
+    with RunContext().installed():
+        yield

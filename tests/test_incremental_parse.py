@@ -16,26 +16,13 @@ import random
 
 import pytest
 
+from repro.context import current
 from repro.diff import diff_schemas
 from repro.diff.engine import diff_schemas_reference
 from repro.mining.history import SchemaHistory, parse_history_reference
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.perf.cache import CACHE_DIR_ENV, ParseCache, configure_cache, get_cache
+from repro.perf.cache import ParseCache
 from repro.sqlparser import parse_schema
 from repro.vcs import FileVersion, synthetic_sha, utc
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-    configure_cache()
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_cache()
-    reset_recorder()
-    reset_metrics()
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +134,7 @@ class TestRandomizedHistories:
     def test_reuse_dominates_and_nothing_falls_back(self, seed):
         versions = _random_history(seed, length=30)
         SchemaHistory.from_file_versions(versions)
-        stats = get_cache().stats
+        stats = current().cache.stats
         assert stats.fallback_parses == 0
         # consecutive versions are near-identical: statement reuse must
         # dominate (the acceptance bar for the real corpus is >= 90%)
@@ -206,7 +193,7 @@ class TestTornStatements:
         history = SchemaHistory.from_file_versions(versions)
         reference = parse_history_reference(versions)
         _assert_histories_equal(history, reference)
-        codes = [record["code"] for record in get_recorder().warnings]
+        codes = [record["code"] for record in current().recorder.warnings]
         assert codes == ["ddl-unparseable"]
 
     def test_torn_then_healed_version(self):

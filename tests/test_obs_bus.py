@@ -2,23 +2,13 @@
 
 import threading
 
-import pytest
-
+from repro.context import RunContext, current
 from repro.obs.bus import (
     BUS_SCHEMA_VERSION,
     DEFAULT_QUEUE_CAPACITY,
     TelemetryBus,
-    get_bus,
     publish,
-    reset_bus,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_bus():
-    reset_bus()
-    yield
-    reset_bus()
 
 
 class TestEnvelopes:
@@ -42,7 +32,7 @@ class TestEnvelopes:
 
     def test_module_level_publish_uses_active_bus(self):
         envelope = publish("warning", {"code": "x"})
-        assert get_bus().replay()[-1] is envelope
+        assert current().bus.replay()[-1] is envelope
 
     def test_concurrent_publishers_never_share_an_id(self):
         bus = TelemetryBus()
@@ -197,8 +187,10 @@ class TestSubscription:
         }
 
     def test_reset_bus_discards_consumers(self):
-        bus = get_bus()
+        bus = current().bus
         bus.add_sink(lambda e: None)
-        fresh = reset_bus()
-        assert fresh is get_bus()
-        assert not fresh.active
+        with RunContext().installed() as fresh_context:
+            fresh = fresh_context.bus
+            assert fresh is current().bus
+            assert not fresh.active
+        assert current().bus is bus

@@ -1,7 +1,7 @@
 """Unit tests for live run monitoring (`repro.obs.progress`).
 
 The heartbeat contract: trackers emit schema-valid ``progress`` records
-to whatever listens (event-log sink, TTY stream), throttled by the
+to whatever listens (telemetry-bus consumers, TTY stream), throttled by the
 channel interval, with the final state always emitted exactly once —
 and with nothing listening, an update is just a counter bump.
 """
@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from repro.context import RunContext, current
 from repro.obs.events import validate_event
 from repro.obs.progress import (
     DEFAULT_INTERVAL,
@@ -17,10 +18,8 @@ from repro.obs.progress import (
     TOP_SLOWEST,
     ProgressChannel,
     ProgressTracker,
-    get_progress,
     progress_event,
     render_progress_line,
-    reset_progress,
 )
 from repro.perf.timing import StudyTimings
 
@@ -38,20 +37,23 @@ class FakeClock:
         self.now += seconds
 
 
+def _capture_progress(ctx, records: list):
+    """Subscribe ``records`` to ``ctx``'s bus; returns the sink."""
+    return ctx.bus.add_sink(
+        lambda envelope: records.append(envelope["data"]),
+        kinds=("progress",),
+    )
+
+
 @pytest.fixture()
-def channel():
-    """An unthrottled channel capturing every record in ``.records``."""
+def channel(run_context):
+    """An unthrottled channel whose published records land in
+    ``.records`` (through a sink on the run's bus, ``.listener``)."""
     chan = ProgressChannel()
     chan.records = []
-    chan.sink = chan.records.append
+    chan.listener = _capture_progress(run_context, chan.records)
     chan.interval = 0.0
     return chan
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global():
-    yield
-    reset_progress()
 
 
 class TestProgressEvent:
@@ -133,7 +135,7 @@ class TestProgressTracker:
         assert [r["done"] for r in channel.records] == [1, 3]
 
     def test_no_listener_means_no_records(self, channel):
-        channel.sink = None
+        current().bus.remove_sink(channel.listener)
         tracker = ProgressTracker("stage", 2, channel=channel)
         tracker.update("a", 1.0)
         tracker.finish()
@@ -230,10 +232,10 @@ class TestChannelStream:
         chan.close_line()  # nothing written, nothing raised
         assert chan.stream.getvalue() == ""
 
-    def test_deliver_fans_out_to_both(self):
+    def test_deliver_fans_out_to_both(self, run_context):
         chan = ProgressChannel()
         seen = []
-        chan.sink = seen.append
+        _capture_progress(run_context, seen)
         chan.stream = io.StringIO()
         record = progress_event("stage", 1, 2, 0.5, [])
         chan.deliver(record)
@@ -255,12 +257,13 @@ class TestChannelConfig:
         assert ProgressChannel().interval == 0.0
 
     def test_global_channel_resets(self):
-        first = get_progress()
-        first.sink = lambda record: None
-        fresh = reset_progress()
-        assert fresh is get_progress()
-        assert fresh is not first
-        assert not fresh.active
+        first = current().progress
+        first.stream = io.StringIO()
+        with RunContext().installed():
+            fresh = current().progress
+            assert fresh is current().progress
+            assert fresh is not first
+            assert not fresh.active
 
     def test_active_property(self):
         chan = ProgressChannel()
@@ -270,7 +273,7 @@ class TestChannelConfig:
 
 
 class TestStudyIntegration:
-    def test_both_fanout_stages_heartbeat(self):
+    def test_both_fanout_stages_heartbeat(self, run_context):
         from dataclasses import replace
 
         from repro.analysis import run_study
@@ -278,15 +281,11 @@ class TestStudyIntegration:
         from repro.corpus.profiles import CANONICAL_PROFILES
 
         records = []
-        channel = reset_progress()
-        channel.interval = 0.0
-        channel.sink = records.append
-        try:
-            profiles = (replace(CANONICAL_PROFILES[0], count=3),)
-            corpus = generate_corpus(seed=11, profiles=profiles)
-            study = run_study(corpus)
-        finally:
-            reset_progress()
+        run_context.progress.interval = 0.0
+        _capture_progress(run_context, records)
+        profiles = (replace(CANONICAL_PROFILES[0], count=3),)
+        corpus = generate_corpus(seed=11, profiles=profiles)
+        study = run_study(corpus)
         assert len(study) + len(study.skipped) == 3
         stages = {r["stage"] for r in records}
         assert stages == {"generate", "mine_analyze"}

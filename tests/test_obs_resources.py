@@ -6,11 +6,11 @@ import threading
 
 import pytest
 
+from repro.context import current
 from repro.obs.resources import (
     ResourceMonitor,
     ResourceSample,
     current_rss_bytes,
-    get_monitor,
     peak_rss_bytes,
     process_sample,
 )
@@ -59,8 +59,8 @@ class TestResourceMonitor:
         assert outer_sample.peak_rss_bytes >= inner_sample.peak_rss_bytes
 
     def test_global_monitor_is_a_singleton_with_a_daemon_thread(self):
-        assert get_monitor() is get_monitor()
-        with get_monitor().window() as window:
+        assert current().monitor is current().monitor
+        with current().monitor.window() as window:
             pass
         assert window.sample.peak_rss_bytes > 0
         samplers = [
@@ -199,7 +199,9 @@ class TestWorkerCpuSamples:
 
         project = generate_corpus(seed=77, profiles=scaled_profiles(195))[0]
         with ProcessPoolExecutor(
-            max_workers=1, initializer=worker_init
+            max_workers=1,
+            initializer=worker_init,
+            initargs=(current().worker_config,),
         ) as pool:
             results = [
                 pool.submit(_burn_then_mine, project).result(timeout=60)

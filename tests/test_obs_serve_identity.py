@@ -9,14 +9,12 @@ with ``--jobs 4``.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
+from repro import cli
 from repro.cli import main
-from repro.obs.bus import get_bus, reset_bus
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.pipeline.store import configure_store
 
 SEED_ARGS = ["--seed", "77", "--scale", "32"]
 
@@ -28,17 +26,9 @@ VOLATILE_EVENT_FIELDS = (
 
 
 @pytest.fixture(autouse=True)
-def _isolated_global_state(monkeypatch):
+def _every_heartbeat(monkeypatch):
     # deterministic heartbeat count: emit on every completion
     monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0")
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
 
 
 def _run(tmp_path, tag, *, jobs, serve):
@@ -52,18 +42,26 @@ def _run(tmp_path, tag, *, jobs, serve):
         "--log-json", str(out / "events.jsonl"),
         "--manifest", str(out / "manifest.json"),
     ]
-    subscription = None
-    if serve:
-        argv += ["--serve", "0"]
-        # a live consumer on the bus makes the gated publishes
-        # (artifact probes, metrics snapshots) actually fire — the
-        # worst case for log/artifact identity
-        subscription = get_bus().subscribe(capacity=100_000)
-    assert main(argv) == 0
-    drained = subscription.drain() if subscription else []
-    if subscription:
-        subscription.close()
-    return out, drained
+    if not serve:
+        assert main(argv) == 0
+        return out, []
+    argv += ["--serve", "0"]
+    # a live consumer on the run's bus makes the gated publishes
+    # (artifact probes, metrics snapshots) actually fire — the worst
+    # case for log/artifact identity
+    run_context = cli._run_context
+    subscriptions = []
+
+    def subscribed_context(args):
+        ctx = run_context(args)
+        subscriptions.append(ctx.bus.subscribe(capacity=100_000))
+        return ctx
+
+    with mock.patch.object(cli, "_run_context", subscribed_context):
+        assert main(argv) == 0
+    (subscription,) = subscriptions
+    subscription.close()
+    return out, subscription.drain()
 
 
 def _normalized_events(path):
@@ -109,10 +107,6 @@ def _store_keys(out):
 def _compare(tmp_path, *, jobs, ordered):
     unserved, _ = _run(tmp_path, f"unserved-{jobs}", jobs=jobs,
                        serve=False)
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
-    configure_store(None)
     served, drained = _run(tmp_path, f"served-{jobs}", jobs=jobs,
                            serve=True)
 

@@ -7,23 +7,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs.bus import get_bus, reset_bus
+from repro.context import RunContext, current
 from repro.obs.export import validate_prometheus_text
-from repro.obs.metrics import reset_metrics
 from repro.obs.registry import RunRegistry
 from repro.obs.server import ObservabilityServer
 from repro.obs.top import sse_events
-from repro.pipeline.store import configure_store
-
-
-@pytest.fixture(autouse=True)
-def _isolated_global_state():
-    reset_bus()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_bus()
-    reset_metrics()
 
 
 @pytest.fixture
@@ -31,6 +19,13 @@ def server():
     srv = ObservabilityServer(port=0).start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture
+def dir_store(tmp_path):
+    """A run context over a directory store at ``tmp_path/store``."""
+    with RunContext(store_dir=tmp_path / "store").installed() as ctx:
+        yield ctx
 
 
 def _get(server, path, timeout=10, headers=None):
@@ -64,17 +59,15 @@ class TestHealthz:
 
 class TestMetrics:
     def test_page_passes_the_exposition_grammar(self, server):
-        from repro.obs.metrics import get_metrics
-
-        get_metrics().inc("projects.mined", 3)
-        get_metrics().observe("stage.seconds", 0.5)
+        current().metrics.inc("projects.mined", 3)
+        current().metrics.observe("stage.seconds", 0.5)
         status, page = _get(server, "/metrics")
         assert status == 200
         assert validate_prometheus_text(page) == []
         assert "repro_projects_mined_total 3" in page
 
     def test_bus_drop_counter_is_exposed(self, server):
-        bus = get_bus()
+        bus = current().bus
         sub = bus.subscribe(capacity=2)
         for n in range(6):
             bus.publish("span", {"n": n})
@@ -84,11 +77,9 @@ class TestMetrics:
         sub.close()
 
     def test_server_counters_never_touch_the_global_registry(self, server):
-        from repro.obs.metrics import get_metrics
-
         _get(server, "/healthz")
         _get(server, "/metrics")
-        snapshot = get_metrics().snapshot().as_dict()
+        snapshot = current().metrics.snapshot().as_dict()
         assert not any(
             name.startswith(("bus.", "server."))
             for name in snapshot["counters"]
@@ -97,7 +88,7 @@ class TestMetrics:
 
 class TestEvents:
     def test_sse_framing_ids_and_kinds(self, server):
-        bus = get_bus()
+        bus = current().bus
         for n in range(4):
             bus.publish("progress", {"done": n})
         status, body = _get(server, "/events?limit=4")
@@ -112,7 +103,7 @@ class TestEvents:
         assert [e["data"]["done"] for e in envelopes] == [0, 1, 2, 3]
 
     def test_last_event_id_replays_the_same_ordered_sequence(self, server):
-        bus = get_bus()
+        bus = current().bus
         for n in range(6):
             bus.publish("span", {"n": n})
         _, from_start = _get(server, "/events?limit=6")
@@ -125,12 +116,10 @@ class TestEvents:
         tail = [e["id"] for e in sse_events(resumed.splitlines(True))]
         assert tail == full[3:]
 
-    def test_replay_is_bounded_by_the_ring(self):
-        reset_bus()
-        import repro.obs.bus as bus_mod
+    def test_replay_is_bounded_by_the_ring(self, run_context):
+        from repro.obs.bus import TelemetryBus
 
-        bus = bus_mod.TelemetryBus(capacity=4)
-        bus_mod._active = bus
+        bus = run_context.bus = TelemetryBus(capacity=4)
         srv = ObservabilityServer(port=0).start()
         try:
             for n in range(10):
@@ -154,7 +143,7 @@ class TestEvents:
             assert line.strip() == b": keepalive"
 
     def test_live_publish_reaches_an_open_stream(self, server):
-        bus = get_bus()
+        bus = current().bus
         request = urllib.request.Request(server.url + "/events?limit=1")
         with urllib.request.urlopen(request, timeout=10) as response:
             bus.publish("warning", {"code": "late"})
@@ -171,8 +160,7 @@ class TestRuns:
             _get(server, "/runs")
         assert err.value.code == 404
 
-    def test_lists_registry_records(self, tmp_path, server):
-        configure_store(tmp_path / "store")
+    def test_lists_registry_records(self, tmp_path, dir_store, server):
         registry = RunRegistry(tmp_path / "store")
         registry.append({"run_id": "abc123", "stages": {"total": 1.0}})
         registry.append({"run_id": "def456", "stages": {"total": 2.0}})
@@ -184,8 +172,7 @@ class TestRuns:
         _, tail = _get_json(server, "/runs?limit=1")
         assert [r["run_id"] for r in tail["records"]] == ["def456"]
 
-    def test_fetch_one_run_by_prefix(self, tmp_path, server):
-        configure_store(tmp_path / "store")
+    def test_fetch_one_run_by_prefix(self, tmp_path, dir_store, server):
         registry = RunRegistry(tmp_path / "store")
         registry.append({"run_id": "abc123", "stages": {}})
         _, record = _get_json(server, "/runs/abc")
@@ -201,10 +188,9 @@ class TestStatus:
         assert body["stages"] == []
         assert "error" in body
 
-    def test_stage_states_via_provenance(self, tmp_path):
+    def test_stage_states_via_provenance(self, dir_store):
         from repro.pipeline.graph import Pipeline
 
-        configure_store(tmp_path / "store")
         srv = ObservabilityServer(
             port=0,
             pipeline_factory=lambda: Pipeline(seed=77, scale=32),

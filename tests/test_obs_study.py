@@ -20,38 +20,21 @@ import pytest
 
 from repro.analysis import run_study
 from repro.cli import main
+from repro.context import RunContext
 from repro.corpus import generate_corpus
 from repro.corpus.profiles import CANONICAL_PROFILES
 from repro.io import export_measures_csv
 from repro.obs import (
     ObsSession,
     chrome_trace,
-    configure_tracing,
     folded_stacks,
-    get_progress,
     prometheus_text,
-    reset_metrics,
-    reset_progress,
-    reset_recorder,
     validate_event_log,
     validate_prometheus_text,
 )
 
 SCALE = 16
 SEED = 97_531
-
-
-def _reset_obs():
-    configure_tracing(False)
-    reset_recorder()
-    reset_metrics()
-    reset_progress()
-
-
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    yield
-    _reset_obs()
 
 
 def _small_corpus():
@@ -88,32 +71,32 @@ def _find_span(spans, name):
 @pytest.fixture(scope="module")
 def baseline_csv(tmp_path_factory):
     """Measures bytes of the untraced serial run — the ground truth."""
-    _reset_obs()
-    study = run_study(_small_corpus())
+    with RunContext().installed():
+        study = run_study(_small_corpus())
     return _csv_bytes(study, tmp_path_factory.mktemp("base") / "m.csv")
 
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     """One fully-traced ``jobs=4`` run with every artifact written."""
-    _reset_obs()
     tmp = tmp_path_factory.mktemp("traced")
-    session = ObsSession(
-        command="study",
-        trace_path=tmp / "trace.json",
-        log_path=tmp / "events.jsonl",
-        manifest_path=tmp / "manifest.json",
-        progress=True,
-    )
-    session.seed = SEED
-    session.jobs = 4
-    # heartbeat on every completion so the small corpus still
-    # exercises the progress path deterministically
-    get_progress().interval = 0.0
-    corpus = _small_corpus()
-    study = run_study(corpus, jobs=4)
-    session.study = study
-    session.finalize(status="ok")
+    with RunContext(trace=True).installed() as ctx:
+        session = ObsSession(
+            command="study",
+            trace_path=tmp / "trace.json",
+            log_path=tmp / "events.jsonl",
+            manifest_path=tmp / "manifest.json",
+            progress=True,
+        )
+        session.seed = SEED
+        session.jobs = 4
+        # heartbeat on every completion so the small corpus still
+        # exercises the progress path deterministically
+        ctx.progress.interval = 0.0
+        corpus = _small_corpus()
+        study = run_study(corpus, jobs=4)
+        session.study = study
+        session.finalize(status="ok")
     return {
         "dir": tmp,
         "corpus_size": len(corpus),
@@ -133,16 +116,17 @@ class TestResultsUnchanged:
     def test_traced_serial_measures_byte_identical(
         self, baseline_csv, tmp_path
     ):
-        session = ObsSession(
-            command="study",
-            trace_path=tmp_path / "trace.json",
-            log_path=tmp_path / "events.jsonl",
-            progress=True,
-        )
-        get_progress().interval = 0.0
-        study = run_study(_small_corpus())
-        session.study = study
-        session.finalize(status="ok")
+        with RunContext(trace=True).installed() as ctx:
+            session = ObsSession(
+                command="study",
+                trace_path=tmp_path / "trace.json",
+                log_path=tmp_path / "events.jsonl",
+                progress=True,
+            )
+            ctx.progress.interval = 0.0
+            study = run_study(_small_corpus())
+            session.study = study
+            session.finalize(status="ok")
         assert _csv_bytes(study, tmp_path / "m.csv") == baseline_csv
 
     def test_observability_fields_do_not_affect_equality(self, traced):

@@ -2,9 +2,7 @@
 
 import io
 
-import pytest
-
-from repro.obs.bus import get_bus, reset_bus
+from repro.context import current
 from repro.obs.top import (
     DashboardState,
     bus_envelopes,
@@ -12,13 +10,6 @@ from repro.obs.top import (
     run_top,
     sse_events,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_bus():
-    reset_bus()
-    yield
-    reset_bus()
 
 
 def _env(kind, data, id=1):
@@ -176,7 +167,7 @@ class TestRunTop:
         assert out.getvalue().startswith("\x1b[H\x1b[J")
 
     def test_attach_source_reads_the_in_process_bus(self):
-        bus = get_bus()
+        bus = current().bus
         bus.publish("progress", {
             "stage": "mine", "done": 1, "total": 1,
             "percent": 100.0, "eta_seconds": 0.0,

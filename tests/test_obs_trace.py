@@ -3,8 +3,8 @@
 The contract under test: disabled tracing is a shared no-op, enabled
 tracing builds a parent/child forest, detached spans round-trip through
 ``to_dict``/``attach`` (the worker transport), and close events reach
-the ``on_close`` sink exactly once whether a span closed in-process or
-was replayed at attach time.
+the telemetry bus exactly once whether a span closed in-process or was
+replayed at attach time.
 """
 
 import json
@@ -12,23 +12,15 @@ import os
 
 import pytest
 
+from repro.context import RunContext, current
 from repro.obs.trace import (
     NULL_SPAN,
-    TRACE_ENV,
     TRACE_FORMAT,
     Span,
     Tracer,
-    configure_tracing,
-    get_tracer,
     render_trace,
     write_trace,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_tracing():
-    yield
-    configure_tracing(False)
 
 
 class TestDisabledTracer:
@@ -154,20 +146,32 @@ class TestSerialisation:
         assert tracer.roots == []
 
 
+def _published_tracer(ctx) -> tuple[Tracer, list[str]]:
+    """A bus-publishing tracer and the span names its closes publish."""
+    tracer = Tracer(enabled=True)
+    tracer.publish = True
+    closed: list[str] = []
+    ctx.bus.add_sink(
+        lambda envelope: closed.append(envelope["data"]["name"]),
+        kinds=("span",),
+    )
+    return tracer, closed
+
+
+def _tracing_enabled() -> bool:
+    return current().tracer.enabled
+
+
 class TestCloseEvents:
-    def test_in_process_spans_emit_live_on_close(self):
-        tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+    def test_in_process_spans_emit_live_on_close(self, run_context):
+        tracer, closed = _published_tracer(run_context)
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
         assert closed == ["inner", "outer"]
 
-    def test_attach_emit_replays_worker_closes_once(self):
-        tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+    def test_attach_emit_replays_worker_closes_once(self, run_context):
+        tracer, closed = _published_tracer(run_context)
         data = {
             "name": "project",
             "children": [{"name": "mine"}, {"name": "analyze"}],
@@ -175,34 +179,31 @@ class TestCloseEvents:
         tracer.attach(data, emit=True)
         assert closed == ["mine", "analyze", "project"]
 
-    def test_attach_without_emit_replays_nothing(self):
+    def test_attach_without_emit_replays_nothing(self, run_context):
         # the serial path: the spans already emitted at close time
-        tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+        tracer, closed = _published_tracer(run_context)
         tracer.attach({"name": "project"}, emit=False)
         assert closed == []
 
 
 class TestGlobalTracer:
-    def test_configure_tracing_exports_and_clears_the_env(self):
-        configure_tracing(True)
-        assert os.environ.get(TRACE_ENV) == "1"
-        assert get_tracer().enabled
-        configure_tracing(False)
-        assert TRACE_ENV not in os.environ
-        assert not get_tracer().enabled
+    def test_tracing_context_leaves_the_env_alone(self):
+        environ = dict(os.environ)
+        with RunContext(trace=True).installed():
+            assert current().tracer.enabled
+        with RunContext(trace=False).installed():
+            assert not current().tracer.enabled
+        assert dict(os.environ) == environ
 
-    def test_fresh_process_would_honour_the_env(self, monkeypatch):
-        # get_tracer reads the env on first use — the worker-process path
-        import repro.obs.trace as trace_module
+    def test_pool_workers_trace_when_the_run_does(self):
+        # the worker-process path: workers rebuild tracing from the
+        # driver context's worker_config, whatever pool is warm
+        from repro.perf.pool import warm_pool
 
-        monkeypatch.setattr(trace_module, "_active", None)
-        monkeypatch.setenv(TRACE_ENV, "1")
-        assert get_tracer().enabled
-        monkeypatch.setattr(trace_module, "_active", None)
-        monkeypatch.setenv(TRACE_ENV, "0")
-        assert not get_tracer().enabled
+        for trace in (False, True, False):
+            with RunContext(trace=trace).installed():
+                future = warm_pool(1).submit(_tracing_enabled)
+                assert future.result(timeout=60) is trace
 
 
 class TestTraceFileAndRendering:

@@ -9,6 +9,7 @@ parallel corpus generator must be bit-identical to the serial loop.
 import pytest
 
 from repro.analysis import canonical_study, run_study
+from repro.context import RunContext
 from repro.corpus import generate_corpus
 from repro.perf.cache import CacheStats
 from repro.perf.timing import StudyTimings
@@ -150,3 +151,22 @@ class TestParallelObservability:
         histogram = serial.metrics.histograms["diff.seconds"]
         assert histogram.count > 0
         assert histogram.mean > 0
+
+
+class TestReusedPool:
+    """A warm pool forked for an untraced run must not serve a traced
+    one: workers keep the settings they were started with, so the pool
+    is keyed on them."""
+
+    def test_traced_run_on_a_pool_born_untraced_keeps_worker_spans(self):
+        from repro.corpus.profiles import scaled_profiles
+
+        small = generate_corpus(seed=77, profiles=scaled_profiles(32))
+        run_study(small, jobs=2)  # warms an untraced jobs=2 pool
+        with RunContext(trace=True).installed() as traced:
+            run_study(small, jobs=2)
+        names = [
+            span.name for root in traced.tracer.roots for span in root.walk()
+        ]
+        assert names.count("project") == len(small)
+        assert names.count("mine") == len(small)

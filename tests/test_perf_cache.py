@@ -5,16 +5,14 @@ import pickle
 
 import pytest
 
+from repro.context import RunContext, current
 from repro.perf import cache as cache_module
 from repro.perf.cache import (
-    CACHE_DIR_ENV,
     PARSER_MODULES,
     CacheStats,
     ParseCache,
     cached_parse_schema,
-    configure_cache,
     content_key,
-    get_cache,
     parser_source_digest,
 )
 from repro.sqlparser import ParseResult, parse_schema
@@ -203,31 +201,18 @@ class TestStats:
 
 
 class TestGlobalCache:
-    @pytest.fixture(autouse=True)
-    def _restore_global(self):
-        import repro.perf.cache as module
-
-        saved_cache = module._active
-        saved_env = os.environ.get(CACHE_DIR_ENV)
-        yield
-        module._active = saved_cache
-        if saved_env is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = saved_env
-
     def test_cached_parse_schema_uses_active_cache(self):
-        configure_cache()
-        before = get_cache().stats
+        before = current().cache.stats
         cached_parse_schema(DDL)
         cached_parse_schema(DDL)
-        delta = get_cache().stats - before
+        delta = current().cache.stats - before
         assert delta.hits == 1
         assert delta.misses == 1
 
-    def test_configure_cache_exports_env_for_workers(self, tmp_path):
-        cache = configure_cache(tmp_path)
-        assert os.environ[CACHE_DIR_ENV] == str(tmp_path)
-        assert cache.cache_dir == tmp_path
-        configure_cache()
-        assert CACHE_DIR_ENV not in os.environ
+    def test_cache_dir_reaches_workers_without_the_env(self, tmp_path):
+        environ = dict(os.environ)
+        ctx = RunContext(cache_dir=tmp_path)
+        assert ctx.cache.cache_dir == tmp_path
+        assert ctx.worker_config == (False, str(tmp_path))
+        assert RunContext().worker_config == (False, None)
+        assert dict(os.environ) == environ

@@ -154,10 +154,13 @@ class TestWindowedEta:
             10, 20, parallelism=16
         ) == pytest.approx(2.5)
 
-    def test_tracker_parallelism_feeds_eta(self):
+    def test_tracker_parallelism_feeds_eta(self, run_context):
         channel = ProgressChannel()
         records = []
-        channel.sink = records.append
+        run_context.bus.add_sink(
+            lambda envelope: records.append(envelope["data"]),
+            kinds=("progress",),
+        )
         channel.interval = 0.0
         timings = self._timings(jobs=8)
         tracker = ProgressTracker(
@@ -171,11 +174,14 @@ class TestWindowedEta:
         tracker.update("p", 2.0)
         assert records[-1]["eta_seconds"] > 10.0
 
-    def test_throttled_fake_executor_end_to_end(self):
+    def test_throttled_fake_executor_end_to_end(self, run_context):
         """Drive a windowed fan-out and check each heartbeat's ETA."""
         channel = ProgressChannel()
         records = []
-        channel.sink = records.append
+        run_context.bus.add_sink(
+            lambda envelope: records.append(envelope["data"]),
+            kinds=("progress",),
+        )
         channel.interval = 0.0
         timings = StudyTimings(jobs=4)
         tracker = ProgressTracker(

@@ -1,30 +1,13 @@
 """CLI surface of the sharded pipeline: --store-dir, status (with
 --shards), invalidate (stage or --project), drift warnings."""
 
-import pytest
-
 from repro.cli import main
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.pipeline.store import configure_store
 
 #: seed 77 at scale 32 plans 7 projects; the first is stable by
 #: construction (corpus_specs is deterministic in the seed).
 SEED_ARGS = ["--seed", "77", "--scale", "32"]
 N_PROJECTS = 7
 FIRST_PROJECT = "bitforge/scheduler-000"
-
-
-@pytest.fixture(autouse=True)
-def _isolated_global_state():
-    """--store-dir swaps the process-global store and exports
-    REPRO_STORE_DIR; undo both so later tests see the default."""
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_recorder()
-    reset_metrics()
 
 
 def _study_args(store_dir) -> list[str]:
@@ -338,7 +321,6 @@ class TestCrossProcessReplay:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_STORE_DIR", None)
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "study", *SEED_ARGS,
              "--store-dir", str(store_dir), "--manifest", str(manifest)],

@@ -5,30 +5,19 @@ import pickle
 
 import pytest
 
-from repro.obs.events import get_recorder, reset_recorder
+from repro.context import STORE_DIR_ENV, RunContext, current
 from repro.pipeline.store import (
     ARTIFACT_FORMAT,
-    STORE_DIR_ENV,
     DirStore,
     MemoryStore,
     StoreStats,
     atomic_write_pickle,
-    configure_store,
-    get_store,
     read_pickle,
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_store_state():
-    reset_recorder()
-    yield
-    configure_store(None)
-    reset_recorder()
-
-
 def _codes() -> list[str]:
-    return [record["code"] for record in get_recorder().warnings]
+    return [record["code"] for record in current().recorder.warnings]
 
 
 class TestAtomicPickleIO:
@@ -253,19 +242,23 @@ class TestDirStore:
 
 class TestGlobalStore:
     def test_default_is_memory(self):
-        configure_store(None)
-        assert get_store().kind == "memory"
+        assert current().store.kind == "memory"
 
-    def test_configure_dir_exports_env(self, tmp_path):
-        store = configure_store(tmp_path / "artifacts")
-        assert store.kind == "dir"
-        assert os.environ[STORE_DIR_ENV] == str(tmp_path / "artifacts")
-        assert get_store() is store
+    def test_store_dir_builds_a_dir_store_without_the_env(self, tmp_path):
+        environ = dict(os.environ)
+        with RunContext(store_dir=tmp_path / "artifacts").installed() as ctx:
+            store = ctx.store
+            assert store.kind == "dir"
+            assert store.root == tmp_path / "artifacts"
+            assert current().store is store
+            # one flag, both layers: the parse cache lives in the store
+            assert ctx.cache_dir == tmp_path / "artifacts" / "parse-cache"
+        assert dict(os.environ) == environ
 
     def test_env_var_enables_dir_store(self, tmp_path, monkeypatch):
-        configure_store(None)
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
-        import repro.pipeline.store as store_module
+        import repro.context as context_module
 
-        monkeypatch.setattr(store_module, "_active", None)
-        assert get_store().kind == "dir"
+        # no context installed: current() builds the default from the env
+        monkeypatch.setattr(context_module, "_current", None)
+        assert current().store.kind == "dir"

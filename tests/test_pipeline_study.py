@@ -10,11 +10,10 @@ a damaged store entry is recomputed — never served.
 import pytest
 
 from repro.analysis.study import StudyResult
+from repro.context import RunContext, current
 from repro.corpus.generator import ProjectSpec
 from repro.corpus.profiles import profile_for
 from repro.heartbeat import Month
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.pipeline import DirStore, MemoryStore, Pipeline
 from repro.taxa import Taxon
 from repro.vcs import (
@@ -29,17 +28,8 @@ from repro.vcs import (
 SCALE = 16
 
 
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
-
-
 def _codes():
-    return [record["code"] for record in get_recorder().warnings]
+    return [record["code"] for record in current().recorder.warnings]
 
 
 def _hollow_plan(count: int) -> list[tuple]:
@@ -162,12 +152,12 @@ class TestWarmReplay:
         cold.study()
         assert _codes() == ["empty-history"]
 
-        reset_recorder()
-        warm = _hollow_pipeline(store, 1)
-        warm.study()
-        # the skip warning came out of the aggregate artifact meta —
-        # the shard itself was never probed
-        assert _codes() == ["empty-history"]
+        with RunContext().installed():
+            warm = _hollow_pipeline(store, 1)
+            warm.study()
+            # the skip warning came out of the aggregate artifact meta —
+            # the shard itself was never probed
+            assert _codes() == ["empty-history"]
         assert warm.timings.artifacts["aggregate"].hits == 1
         assert "analyze" not in warm.timings.artifacts
 

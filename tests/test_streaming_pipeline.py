@@ -11,21 +11,11 @@ import dataclasses
 
 import pytest
 
+from repro.context import current
 from repro.mining.aggregates import AggregateAccumulator
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.obs.resources import MemoryLimitExceeded, MemoryWatchdog
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.store import MemoryStore
-
-
-@pytest.fixture(autouse=True)
-def _clean_observability():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 class TestMemoryWatchdog:
@@ -43,7 +33,7 @@ class TestMemoryWatchdog:
     def test_pressure_warns_exactly_once(self):
         readings = iter([700, 850, 900, 950])
         watchdog = MemoryWatchdog(1000, probe=lambda: next(readings))
-        recorder = get_recorder()
+        recorder = current().recorder
         mark = recorder.mark()
         assert watchdog.check() == "ok"
         assert watchdog.check() == "pressure"
@@ -152,8 +142,6 @@ class TestStreamingPipeline:
     N = 12
 
     def _report(self, **kwargs):
-        reset_recorder()
-        reset_metrics()
         pipe = Pipeline(store=MemoryStore(), projects=self.N, **kwargs)
         return pipe, pipe.report()
 
@@ -189,8 +177,6 @@ class TestStreamingPipeline:
         assert streaming["memory_watchdog"]["cache_clears"] >= 1
 
     def test_breach_propagates_from_study(self):
-        reset_recorder()
-        reset_metrics()
         pipe = Pipeline(
             store=MemoryStore(), projects=self.N, limit_memory_mb=1,
         )
@@ -215,8 +201,6 @@ class TestStreamingPipeline:
         store_dir = tmp_path / "store"
 
         def run():
-            reset_recorder()
-            reset_metrics()
             pipe = Pipeline(
                 store=DirStore(store_dir),
                 projects=self.N,
