@@ -24,8 +24,6 @@ Subcommands::
     repro-study obs timeline --stage mine         # cross-run trend line
     repro-study obs serve --store-dir DIR [--port N]     # telemetry HTTP
     repro-study obs top --url http://...          # live terminal dashboard
-    repro-study bench-check BASELINE CANDIDATE    # perf-regression check
-    repro-study bench-check CANDIDATE --against-history N  # vs registry
 
 The observability flags (available on ``generate``, ``study`` and
 ``report``) never change results: ``--trace`` writes the hierarchical
@@ -37,8 +35,8 @@ host environment, stage timings, metric snapshot and warnings, and
 
 ``obs export`` converts finished telemetry to standard formats (Chrome
 trace-event JSON for Perfetto, Prometheus text exposition, flamegraph
-folded stacks); ``bench-check`` compares two run manifests or
-``BENCH_study.json`` payloads and fails on perf regressions.
+folded stacks). Performance is measured outside the program, by
+``perfbench/`` running these commands (see ``BENCHMARK.json``).
 
 Live telemetry: ``repro-study study --serve [PORT]`` binds a loopback
 HTTP server next to the run (``/healthz``, ``/metrics``, ``/events``
@@ -55,6 +53,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+
+def _record_count(text: str) -> int:
+    """``--limit N`` for the run history: a count, never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"N must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,10 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     history.add_argument(
         "--limit",
-        type=int,
+        type=_record_count,
         default=None,
         metavar="N",
-        help="show only the last N records",
+        help="show only the last N records (0: all)",
     )
     history.add_argument(
         "--since",
@@ -430,18 +439,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the records as a JSON array",
     )
-    history.add_argument(
-        "--import",
-        dest="import_file",
-        default=None,
-        metavar="FILE",
-        help="seed one record from a run manifest or BENCH payload "
-        "(CI uses this to bootstrap --against-history from the "
-        "committed baseline)",
-    )
     timeline = obs_sub.add_parser(
         "timeline",
         help="render one stage's cross-run trend from the registry",
+        description=(
+            "plots one bar per registry record and marks a >25% jump "
+            "over the previous record with '! regression'; a trend "
+            "view, not a perf gate (the benchmark is perfbench/, see "
+            "BENCHMARK.json)"
+        ),
     )
     timeline.add_argument(
         "--stage",
@@ -452,10 +458,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument(
         "--limit",
-        type=int,
+        type=_record_count,
         default=None,
         metavar="N",
-        help="plot only the last N records",
+        help="plot only the last N records (0: all)",
     )
     serve = obs_sub.add_parser(
         "serve",
@@ -553,98 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="artifact store whose run registry to read "
             "(default: REPRO_STORE_DIR)",
         )
-
-    bench_check = sub.add_parser(
-        "bench-check",
-        help="compare two perf records and fail on regressions",
-        description=(
-            "BASELINE and CANDIDATE are run manifests (--manifest) or "
-            "BENCH_study.json payloads, freely mixed; with "
-            "--against-history N the single positional is the candidate "
-            "and the baseline is the median of the store registry's "
-            "last N records"
-        ),
-    )
-    bench_check.add_argument("baseline", help="baseline perf record (JSON)")
-    bench_check.add_argument(
-        "candidate",
-        nargs="?",
-        default=None,
-        help="candidate perf record (JSON); omitted with "
-        "--against-history, where the first positional is the candidate",
-    )
-    bench_check.add_argument(
-        "--against-history",
-        type=int,
-        default=None,
-        metavar="N",
-        help="compare against the median of the last N run-registry "
-        "records instead of a baseline file",
-    )
-    bench_check.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="artifact store whose run registry --against-history reads "
-        "(default: REPRO_STORE_DIR)",
-    )
-    bench_check.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative per-stage slowdown tolerated (default: 0.25)",
-    )
-    bench_check.add_argument(
-        "--threshold",
-        action="append",
-        default=None,
-        metavar="STAGE=FRACTION",
-        help="per-stage threshold override (repeatable)",
-    )
-    bench_check.add_argument(
-        "--min-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="noise floor: skip stages below S seconds on both sides "
-        "(default: 0.05)",
-    )
-    bench_check.add_argument(
-        "--stage",
-        default=None,
-        metavar="NAME",
-        help="focus the seconds comparison on one stage "
-        "(e.g. 'mine' for the mine microbenchmark record)",
-    )
-    bench_check.add_argument(
-        "--max-rss-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative peak-RSS growth tolerated (default: 0.30)",
-    )
-    bench_check.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print and persist the verdict but always exit 0",
-    )
-    bench_check.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="write the machine-readable verdict to FILE",
-    )
-    bench_check.add_argument(
-        "--allow-env-mismatch",
-        action="store_true",
-        help="downgrade a host-environment mismatch from fail to warn",
-    )
-    bench_check.add_argument(
-        "--allow-warnings",
-        action="store_true",
-        help="do not fail when the candidate has more warnings",
-    )
 
     return parser
 
@@ -1216,22 +1130,6 @@ def _cmd_obs_history(args) -> int:
     registry = _obs_registry(args)
     if registry is None:
         return 2
-    if args.import_file:
-        from .obs.registry import record_from_payload
-
-        path = Path(args.import_file)
-        try:
-            payload = json.loads(path.read_text())
-            record = record_from_payload(payload, source=path.name)
-        except (OSError, ValueError) as exc:
-            print(f"obs history: {exc}", file=sys.stderr)
-            return 2
-        registry.append(record)
-        print(
-            f"imported {path.name} as run {record['run_id']} "
-            f"into {registry.path}"
-        )
-        return 0
     records = registry.records()
     if args.since:
         try:
@@ -1402,104 +1300,6 @@ def _cmd_obs_export(args) -> int:
     return 0
 
 
-def _cmd_bench_check(args) -> int:
-    import json
-
-    from .obs import compare_samples, load_sample, sample_from_dict
-    from .obs.regress import (
-        DEFAULT_MAX_REGRESSION,
-        DEFAULT_MAX_RSS_REGRESSION,
-        DEFAULT_MIN_SECONDS,
-    )
-
-    try:
-        if args.against_history is not None:
-            if args.candidate is not None:
-                print(
-                    "bench-check: --against-history takes one positional "
-                    "(the candidate) — the baseline comes from the "
-                    "registry",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.against_history <= 0:
-                print(
-                    "bench-check: --against-history needs N >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            registry = _obs_registry(args)
-            if registry is None:
-                return 2
-            from .obs.registry import history_baseline
-
-            records = registry.records(limit=args.against_history)
-            baseline = sample_from_dict(
-                history_baseline(records),
-                source=f"history-median[{len(records)}]@{registry.path}",
-            )
-            candidate = load_sample(args.baseline)
-        else:
-            if args.candidate is None:
-                print(
-                    "bench-check: CANDIDATE required "
-                    "(or pass --against-history N)",
-                    file=sys.stderr,
-                )
-                return 2
-            baseline = load_sample(args.baseline)
-            candidate = load_sample(args.candidate)
-    except (OSError, ValueError) as exc:
-        print(f"bench-check: {exc}", file=sys.stderr)
-        return 2
-    thresholds: dict[str, float] = {}
-    for spec in args.threshold or ():
-        stage, sep, value = spec.partition("=")
-        try:
-            if not (sep and stage):
-                raise ValueError(spec)
-            thresholds[stage] = float(value)
-        except ValueError:
-            print(
-                f"bench-check: bad --threshold {spec!r} "
-                "(expected STAGE=FRACTION)",
-                file=sys.stderr,
-            )
-            return 2
-    report = compare_samples(
-        baseline,
-        candidate,
-        max_regression=(
-            args.max_regression
-            if args.max_regression is not None
-            else DEFAULT_MAX_REGRESSION
-        ),
-        stage_thresholds=thresholds,
-        min_seconds=(
-            args.min_seconds
-            if args.min_seconds is not None
-            else DEFAULT_MIN_SECONDS
-        ),
-        max_rss_regression=(
-            args.max_rss_regression
-            if args.max_rss_regression is not None
-            else DEFAULT_MAX_RSS_REGRESSION
-        ),
-        stage=args.stage,
-        allow_env_mismatch=args.allow_env_mismatch,
-        allow_warnings=args.allow_warnings,
-    )
-    print(report.render())
-    if args.json:
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"verdict written to {out}")
-    if report.failed and not args.report_only:
-        return 1
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "study": _cmd_study,
@@ -1511,7 +1311,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "trace-view": _cmd_trace_view,
     "obs": _cmd_obs,
-    "bench-check": _cmd_bench_check,
 }
 
 

@@ -19,8 +19,8 @@ run auditable end to end without changing any of its results:
   Prometheus text exposition, flamegraph folded stacks;
 * :mod:`repro.obs.progress` — the live heartbeat channel behind
   ``--progress`` and the ``progress`` events in ``--log-json``;
-* :mod:`repro.obs.regress` — the ``bench-check`` perf-regression
-  watchdog comparing run manifests / ``BENCH_study.json`` payloads.
+* :mod:`repro.obs.registry` — the store's append-only run history
+  behind ``obs history`` and ``obs timeline``.
 
 :class:`ObsSession` is the CLI-facing glue: it wires ``--trace``,
 ``--log-json``, ``--manifest`` and ``--progress`` onto the current
@@ -77,17 +77,7 @@ from .registry import (
     REGISTRY_FORMAT,
     RunRegistry,
     build_run_record,
-    history_baseline,
-    record_from_payload,
     registry_for_store,
-)
-from .regress import (
-    Check,
-    PerfSample,
-    RegressionReport,
-    compare_samples,
-    load_sample,
-    sample_from_dict,
 )
 from .resources import (
     ResourceMonitor,
@@ -109,7 +99,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "PROVENANCE_FORMAT",
     "REGISTRY_FORMAT",
-    "Check",
     "Subscription",
     "TelemetryBus",
     "EventLog",
@@ -119,10 +108,8 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_SPAN",
     "ObsSession",
-    "PerfSample",
     "ProgressChannel",
     "ProgressTracker",
-    "RegressionReport",
     "ResourceMonitor",
     "ResourceSample",
     "RunRegistry",
@@ -132,18 +119,14 @@ __all__ = [
     "build_manifest",
     "build_run_record",
     "chrome_trace",
-    "compare_samples",
     "diff_components",
     "explain_target",
     "folded_stacks",
-    "history_baseline",
-    "load_sample",
     "peak_rss_bytes",
     "process_sample",
     "progress_event",
     "prometheus_text",
     "provenance_event",
-    "record_from_payload",
     "registry_for_store",
     "render_explanation",
     "render_progress_line",
@@ -151,7 +134,6 @@ __all__ = [
     "resource_event",
     "run_event",
     "runtime_environment",
-    "sample_from_dict",
     "span_event",
     "validate_event",
     "validate_event_line",

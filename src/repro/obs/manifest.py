@@ -26,9 +26,9 @@ MANIFEST_FORMAT = "repro-run-manifest-v1"
 def runtime_environment() -> dict:
     """Host facts for apples-to-apples perf comparisons.
 
-    Recorded in every manifest (and the BENCH payload) so
-    ``repro bench-check`` can refuse cross-machine baselines with a
-    clear warning instead of reporting phantom regressions.
+    Recorded in every manifest and run-registry record, so two runs'
+    timings are only read side by side when they came from the same
+    host.
     """
     return {
         "hostname": socket.gethostname(),

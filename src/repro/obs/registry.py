@@ -5,17 +5,13 @@ appends one compact JSONL record to ``<store>/runs/history.jsonl``:
 stage timings, cache and store hit rates, resource peaks, warning
 count, environment, and the run's manifest digest.  The registry turns
 the store from a pile of artifacts into a *trajectory* — ``repro obs
-history`` tables it, ``repro obs timeline --stage mine`` plots a
-cross-run trend with regression markers, and ``bench-check
---against-history N`` compares a candidate to the median of the last
-``N`` records instead of one hand-kept BENCH file.
+history`` tables it and ``repro obs timeline --stage mine`` plots a
+cross-run trend with regression markers.
 
-Records are deliberately shaped like ``BENCH_study.json`` payloads
-(top-level ``stages`` / ``parse_cache`` / ``artifact_store`` /
-``resources``), so :func:`repro.obs.regress.sample_from_dict`
-normalises them without a special case.  The reader is tolerant:
-malformed lines are skipped, never fatal — an append-only log must
-survive a torn write.
+Records carry the run's timings blocks at top level (``stages`` /
+``parse_cache`` / ``artifact_store`` / ``resources``).  The reader is
+tolerant: malformed lines are skipped, never fatal — an append-only
+log must survive a torn write.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from statistics import median
 
 #: Format tag carried by every registry record.
 REGISTRY_FORMAT = "repro-run-registry-v1"
@@ -60,11 +55,14 @@ class RunRegistry:
         return record
 
     def records(self, limit: int | None = None) -> list[dict]:
-        """All records in append order (last ``limit`` when given).
+        """All records in append order (last ``limit`` when given; 0 or
+        ``None`` means all, a negative ``limit`` raises ``ValueError``).
 
         Torn or foreign lines are skipped — the registry outlives any
         single writer and must never make history unreadable.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         if not self.path.exists():
             return []
         out: list[dict] = []
@@ -155,54 +153,6 @@ def build_run_record(
     return record
 
 
-def record_from_payload(payload: dict, *, source: str = "import") -> dict:
-    """Seed one registry record from a manifest or BENCH payload.
-
-    The CI trend seed: ``repro obs history --import BENCH_study.json``
-    turns the committed baseline into record zero so
-    ``--against-history`` has something to chew on from the first run.
-    """
-    timings = (
-        payload.get("timings")
-        if isinstance(payload.get("timings"), dict)
-        else payload
-    )
-    if not isinstance(timings.get("stages"), dict):
-        raise ValueError(
-            f"{source}: neither a run manifest nor a BENCH payload "
-            "(no stages block)"
-        )
-    recorded_at = round(time.time(), 3)
-    record: dict = {
-        "format": REGISTRY_FORMAT,
-        "run_id": hashlib.sha256(
-            f"{recorded_at}:{source}".encode()
-        ).hexdigest()[:12],
-        "recorded_at": recorded_at,
-        "command": f"import:{source}",
-        "seed": payload.get("seed"),
-        "scale": payload.get("scale"),
-        "jobs": payload.get("jobs") or timings.get("jobs"),
-        "projects": payload.get("projects"),
-        "skipped": (
-            len(payload["skipped"])
-            if isinstance(payload.get("skipped"), list)
-            else payload.get("skipped")
-        ),
-        "manifest_digest": None,
-        "stages": dict(timings["stages"]),
-        "parse_cache": timings.get("parse_cache"),
-        "warning_count": payload.get("warning_count"),
-        "environment": payload.get("environment"),
-    }
-    if payload.get("dialect"):
-        record["dialect"] = payload["dialect"]
-    for block in ("artifact_store", "resources", "streaming"):
-        if timings.get(block):
-            record[block] = timings[block]
-    return record
-
-
 def timeline_values(
     records: list[dict], stage: str
 ) -> tuple[list, str]:
@@ -268,62 +218,3 @@ def render_timeline(
         )
         previous = value
     return "\n".join(lines)
-
-
-def _median_merge(values: list):
-    """Element-wise median over parallel JSON fragments.
-
-    Dicts merge recursively over the union of keys (each key's median
-    is taken over the records that carry it), numbers take the median,
-    anything else takes the latest value — good enough for the
-    identity-ish fields (environment, format tags) a median cannot
-    average.
-    """
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    if all(isinstance(v, dict) for v in present):
-        keys: list = []
-        for fragment in present:
-            for key in fragment:
-                if key not in keys:
-                    keys.append(key)
-        return {
-            key: _median_merge(
-                [fragment.get(key) for fragment in present]
-            )
-            for key in keys
-        }
-    numeric = [
-        v for v in present
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    ]
-    if numeric:
-        value = median(numeric)
-        return round(value, 6) if isinstance(value, float) else value
-    return present[-1]
-
-
-def history_baseline(records: list[dict]) -> dict:
-    """The median-of-history baseline payload for ``bench-check``.
-
-    Folds the given records (typically the last *N*) element-wise by
-    median into one BENCH-shaped payload; ``sample_from_dict``
-    normalises it like any other baseline.  Raises on an empty history
-    — a missing registry must fail loudly, not pass vacuously.
-    """
-    if not records:
-        raise ValueError("run registry is empty — nothing to compare against")
-    merged = _median_merge(list(records))
-    merged["format"] = REGISTRY_FORMAT
-    merged["command"] = f"history-median[{len(records)}]"
-    # medians of identity fields are meaningless — pin the latest;
-    # `dialect` rides along via .get() so pre-dialect records (which
-    # simply lack the key) never fail the merge
-    latest = records[-1]
-    for key in (
-        "run_id", "recorded_at", "environment", "manifest_digest",
-        "dialect",
-    ):
-        merged[key] = latest.get(key)
-    return merged

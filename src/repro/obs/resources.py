@@ -21,9 +21,9 @@ telemetry without any third-party dependency:
   closing a window yields an immutable :class:`ResourceSample`.
 
 Telemetry never perturbs results: samples land in
-:class:`~repro.perf.timing.StudyTimings` (and from there the manifest,
-``BENCH_study.json`` and ``bench-check``), never in artifact payloads,
-so cold and warm runs stay byte-identical.
+:class:`~repro.perf.timing.StudyTimings` (and from there the manifest
+and the run registry), never in artifact payloads, so cold and warm
+runs stay byte-identical.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ A :class:`StudyTimings` is attached to every
 mine / analyze split (summed across workers when running parallel),
 ``canonical_study`` adds the corpus-generation stage, and callers that
 render figures can add a ``figures`` stage.  Cache counters ride along
-so ``--profile`` output and ``BENCH_study.json`` expose the parse-cache
-hit rate next to the stage breakdown.
+so ``--profile`` output, the run manifest and the run registry expose
+the parse-cache hit rate next to the stage breakdown.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class StudyTimings:
         return known + extras
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready form (the ``BENCH_study.json`` payload core).
+        """JSON-ready form (the manifest's ``timings`` block).
 
         The ``artifact_store`` block appears only when the run actually
         resolved stages through the store, so store-less ``run_study``
@@ -262,8 +262,8 @@ class StudyTimings:
                 "reduce": reduce_stats.as_dict(),
             }
         if self.resources:
-            # headline peak first (what bench-check's drift guard
-            # reads), then the per-scope breakdown
+            # headline peak first (what obs history and timeline
+            # read), then the per-scope breakdown
             payload["resources"] = {
                 "peak_rss_bytes": max(
                     entry["peak_rss_bytes"]

@@ -17,7 +17,11 @@ warm, and checks the streaming-execution contract end to end:
    and the spilled fold still produced a well-formed study;
 4. a warm rerun under the same cap is **byte-identical** to the cold
    run and recomputes nothing — streaming changed scheduling, never
-   artifact bytes.
+   artifact bytes;
+5. peak RSS grows sub-linearly with the corpus: a cold capped run over
+   the canonical 195 projects (made first, so the larger run's
+   high-water mark cannot leak into it) has a higher per-project peak
+   than the sized-up run.
 
 Exit status 0 on success, 1 with a diagnosis on the first violation.
 The corpus size and cap are env-tunable so CI can dial the gate.
@@ -37,6 +41,9 @@ LIMIT_MB_ENV = "REPRO_SCALE_SMOKE_LIMIT_MB"
 DEFAULT_PROJECTS = 2000
 DEFAULT_LIMIT_MB = 512
 SMOKE_SEED = 195_2023
+
+#: Corpus size of the small run the sub-linear RSS check compares to.
+SCALE_BASE_PROJECTS = 195
 
 #: Spill batches are 1024 rows; above this corpus size the cold
 #: aggregate must have written at least one batch to disk.
@@ -61,13 +68,24 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-scale-smoke-") as tmp:
         store_dir = Path(tmp) / "artifacts"
 
-        def pipeline() -> Pipeline:
+        def pipeline(
+            projects: int = n_projects, store: Path = store_dir
+        ) -> Pipeline:
             return Pipeline(
                 seed=SMOKE_SEED,
-                projects=n_projects,
+                projects=projects,
                 limit_memory_mb=limit_mb,
-                store=DirStore(store_dir),
+                store=DirStore(store),
             )
+
+        # 5 (measured first). the small cold capped run, in its own store
+        small = pipeline(SCALE_BASE_PROJECTS, Path(tmp) / "small")
+        small.study()
+        small_peak = (
+            (small.timings.as_dict().get("resources") or {})
+            .get("peak_rss_bytes")
+        )
+        del small
 
         # 1. cold under the cap: finishes, and the manifest-visible
         # driver peak stays below the limit
@@ -149,6 +167,17 @@ def main() -> int:
             "the warm capped rerun recomputed a clean stage",
         )
 
+        # 5. per-project peak RSS falls from the small run to this one
+        if n_projects > SCALE_BASE_PROJECTS:
+            check(
+                bool(small_peak) and bool(peak)
+                and peak * SCALE_BASE_PROJECTS < small_peak * n_projects,
+                f"peak RSS grew {(small_peak or 0) / 2**20:.0f} -> "
+                f"{(peak or 0) / 2**20:.0f} MiB from "
+                f"{SCALE_BASE_PROJECTS} to {n_projects} projects "
+                "(linear or worse)",
+            )
+
     if failures:
         for failure in failures:
             print(f"scale-smoke FAIL: {failure}", file=sys.stderr)
@@ -156,7 +185,9 @@ def main() -> int:
     peak_mib = (peak or 0) / 2**20
     print(
         f"scale-smoke ok: {n_projects} projects under a {limit_mb} MiB "
-        f"cap (peak RSS {peak_mib:.0f} MiB); window held "
+        f"cap (peak RSS {peak_mib:.0f} MiB, "
+        f"{(small_peak or 0) / 2**20:.0f} MiB at {SCALE_BASE_PROJECTS}); "
+        "window held "
         f"{window['max_in_flight']}/{window['initial']} in flight over "
         f"{window['submitted']} shards; aggregate spilled "
         f"{(streaming.get('aggregate_spill') or {}).get('spilled_rows', 0)} "

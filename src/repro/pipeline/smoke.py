@@ -13,7 +13,7 @@ with ``jobs=4`` — and checks the incremental-study contract end to end:
 3. a warm ``jobs=4`` rerun reuses the *same* artifacts — parallelism is
    not a fingerprint input — and is byte-identical too;
 4. the warm run's hit rate surfaces in the timings payload (what the
-   manifest and ``BENCH_study.json`` carry for ``repro bench-check``);
+   manifest and the run registry carry);
 5. a code-version bump dirties exactly the dependent cone: bumping
    ``figures`` leaves ``aggregate`` and ``statistics`` warm;
 6. changing the seed re-keys every stage fingerprint;
@@ -25,9 +25,7 @@ with ``jobs=4`` — and checks the incremental-study contract end to end:
    a warm plan explains all-warm, a project override blames the
    upstream generate digest (on mine) and the identity params (on
    generate), and a stage version bump blames ``code_version``;
-9. the **run registry** accepts one record per run and folds a
-   median-of-history baseline that ``bench-check --against-history``
-   can consume.
+9. the **run registry** accepts one record per run.
 
 Exit status 0 on success, 1 with a diagnosis on the first violation.
 """
@@ -263,13 +261,8 @@ def main() -> int:
             "mine shard",
         )
 
-        # 9. the run registry accumulates records and folds a baseline
-        from ..obs.registry import (
-            RunRegistry,
-            build_run_record,
-            history_baseline,
-        )
-        from ..obs.regress import sample_from_dict
+        # 9. the run registry accumulates records
+        from ..obs.registry import RunRegistry, build_run_record
 
         registry = RunRegistry(store_dir)
         for run in (cold, warm, retouched):
@@ -280,18 +273,6 @@ def main() -> int:
         check(
             len(registry) == 3,
             f"registry holds {len(registry)} records, expected 3",
-        )
-        baseline = sample_from_dict(
-            history_baseline(registry.records(limit=3)),
-            source="history-median[3]",
-        )
-        check(
-            baseline.stages.get("total", 0) > 0,
-            "the median-of-history baseline lost the total stage row",
-        )
-        check(
-            (baseline.peak_rss_bytes or 0) > 0,
-            "the median-of-history baseline lost the peak-RSS figure",
         )
 
     if failures:
@@ -306,7 +287,7 @@ def main() -> int:
         "invalidate exactly their cones; a one-project mutation recomputes "
         "one shard per map stage plus the reduce tail; explain attributes "
         "override/version-bump/identity causes correctly; the run registry "
-        "folds a 3-record median baseline"
+        "holds one record per run"
     )
     return 0
 

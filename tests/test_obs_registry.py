@@ -1,6 +1,6 @@
-"""The run-history registry: record shape, the tolerant reader, the
-median baseline, and the CLI loop (study runs append → ``obs history``
-/ ``obs timeline`` read → ``bench-check --against-history`` compares)."""
+"""The run-history registry: record shape, the tolerant reader, and the
+CLI loop (study runs append → ``obs history`` / ``obs timeline``
+read)."""
 
 import json
 
@@ -10,14 +10,11 @@ from repro.obs.registry import (
     REGISTRY_FORMAT,
     RunRegistry,
     build_run_record,
-    history_baseline,
     manifest_digest,
-    record_from_payload,
     registry_for_store,
     render_timeline,
     timeline_values,
 )
-from repro.obs.regress import sample_from_dict
 from repro.pipeline import DirStore, MemoryStore, Pipeline
 
 
@@ -68,6 +65,9 @@ class TestRunRegistry:
         assert [
             r["run_id"] for r in registry.records(limit=2)
         ] == ["run-3", "run-4"]
+        assert len(registry.records(limit=0)) == 5
+        with pytest.raises(ValueError, match=">= 0"):
+            registry.records(limit=-1)
 
     def test_reader_skips_torn_and_foreign_lines(self, tmp_path):
         registry = RunRegistry(tmp_path)
@@ -104,14 +104,6 @@ class TestBuildRunRecord:
         assert record["projects"] == len(study.projects)
         assert "total" in record["stages"]
         assert record["environment"]["hostname"]
-        # the registry's whole point: sample_from_dict needs no
-        # special case for a registry record
-        sample = sample_from_dict(record, source="registry")
-        assert sample.kind == "bench"
-        assert sample.stages == record["stages"]
-        assert sample.peak_rss_bytes == (
-            record.get("resources", {}).get("peak_rss_bytes")
-        )
 
     def test_manifest_digest_and_fingerprints_land(self, study):
         manifest = {"format": "x", "environment": {"hostname": "h"}}
@@ -127,77 +119,6 @@ class TestBuildRunRecord:
         a = build_run_record(command="study", study=study)
         b = build_run_record(command="report", study=study)
         assert a["run_id"] != b["run_id"]
-
-
-class TestRecordFromPayload:
-    def test_from_a_bench_payload(self):
-        payload = {
-            "projects": 7, "jobs": 2, "warning_count": 1,
-            "stages": {"total": 3.0},
-            "parse_cache": {"hit_rate": 0.9},
-            "resources": {"peak_rss_bytes": 1},
-        }
-        record = record_from_payload(payload, source="BENCH_study.json")
-        assert record["command"] == "import:BENCH_study.json"
-        assert record["stages"] == {"total": 3.0}
-        assert record["resources"] == {"peak_rss_bytes": 1}
-        assert sample_from_dict(record).kind == "bench"
-
-    def test_from_a_manifest_payload(self):
-        payload = {
-            "projects": 7,
-            "skipped": ["a/b"],
-            "timings": {"jobs": 4, "stages": {"total": 1.0}},
-        }
-        record = record_from_payload(payload, source="m.json")
-        assert record["stages"] == {"total": 1.0}
-        assert record["jobs"] == 4
-        assert record["skipped"] == 1
-
-    def test_rejects_a_stageless_payload(self):
-        with pytest.raises(ValueError, match="no stages block"):
-            record_from_payload({"hello": 1}, source="x.json")
-
-
-class TestHistoryBaseline:
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            history_baseline([])
-
-    def test_median_over_numbers_nested_in_blocks(self):
-        records = [
-            bench_shaped(total=1.0, rss=100),
-            bench_shaped(total=9.0, rss=300),
-            bench_shaped(total=2.0, rss=200),
-        ]
-        merged = history_baseline(records)
-        assert merged["stages"]["total"] == 2.0
-        assert merged["resources"]["peak_rss_bytes"] == 200
-        assert merged["command"] == "history-median[3]"
-
-    def test_identity_fields_pin_to_the_latest_record(self):
-        records = [
-            bench_shaped(run_id="old", recorded_at=1.0),
-            bench_shaped(run_id="new", recorded_at=2.0),
-        ]
-        merged = history_baseline(records)
-        assert merged["run_id"] == "new"
-        assert merged["recorded_at"] == 2.0
-
-    def test_missing_blocks_median_over_the_present_ones(self):
-        sparse = bench_shaped()
-        del sparse["resources"]
-        records = [
-            bench_shaped(rss=100), sparse, bench_shaped(rss=300),
-        ]
-        merged = history_baseline(records)
-        assert merged["resources"]["peak_rss_bytes"] == 200
-
-    def test_baseline_feeds_bench_check(self):
-        merged = history_baseline([bench_shaped(), bench_shaped()])
-        sample = sample_from_dict(merged, source="median")
-        assert sample.stages["total"] == 2.0
-        assert sample.peak_rss_bytes == 100 * 2**20
 
 
 class TestTimelineDegenerateHistories:
@@ -269,8 +190,8 @@ class TestTimelineDegenerateHistories:
 
 
 class TestRegistryCli:
-    """Three study runs → three records → history / timeline /
-    against-history, end to end through ``repro.cli.main``."""
+    """Three study runs → three records → history / timeline, end to
+    end through ``repro.cli.main``."""
 
     SEED_ARGS = ["--seed", "77", "--scale", "32"]
 
@@ -373,22 +294,6 @@ class TestRegistryCli:
         assert len({len(row) for row in rows}) == 1
         assert "f" * 14 not in out
 
-    def test_history_import_seeds_a_record(self, run_dir, capsys):
-        from repro.cli import main
-
-        payload = bench_shaped()
-        seed_file = run_dir / "seed.json"
-        seed_file.write_text(json.dumps(payload))
-        store_dir = run_dir / "imported-store"
-        assert main([
-            "obs", "history", "--import", str(seed_file),
-            "--store-dir", str(store_dir),
-        ]) == 0
-        assert "imported seed.json as run" in capsys.readouterr().out
-        records = RunRegistry(store_dir).records()
-        assert len(records) == 1
-        assert records[0]["command"] == "import:seed.json"
-
     def test_timeline_total(self, run_dir, capsys):
         from repro.cli import main
 
@@ -426,34 +331,25 @@ class TestRegistryCli:
         assert main(["obs", "history"]) == 2
         assert "no directory artifact store" in capsys.readouterr().err
 
-    def test_bench_check_against_history(self, run_dir, capsys):
+    @pytest.mark.parametrize("command", ["history", "timeline"])
+    def test_negative_limit_is_rejected(self, run_dir, capsys, command):
+        from repro.cli import main
+
+        # a negative N used to slice from the wrong end: history
+        # --limit -1 dropped the oldest record and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "obs", command, "--limit", "-1",
+                "--store-dir", str(run_dir / "artifacts"),
+            ])
+        assert exc.value.code == 2
+        assert "N must be >= 0" in capsys.readouterr().err
+
+    def test_limit_zero_means_all(self, run_dir, capsys):
         from repro.cli import main
 
         assert main([
-            "bench-check", str(run_dir / "candidate.json"),
-            "--against-history", "3",
+            "obs", "history", "--json", "--limit", "0",
             "--store-dir", str(run_dir / "artifacts"),
-            "--report-only",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "history-median[3]" in out
-        assert "peak_rss" in out
-        assert "verdict:" in out
-
-    def test_against_history_refuses_two_positionals(self, run_dir, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench-check", "a.json", "b.json", "--against-history", "3",
-            "--store-dir", str(run_dir / "artifacts"),
-        ]) == 2
-        assert "one positional" in capsys.readouterr().err
-
-    def test_against_history_needs_a_positive_n(self, run_dir, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench-check", "a.json", "--against-history", "0",
-            "--store-dir", str(run_dir / "artifacts"),
-        ]) == 2
-        assert "N >= 1" in capsys.readouterr().err
+        assert len(json.loads(capsys.readouterr().out)) == 3

@@ -216,3 +216,40 @@ class TestGlobalCache:
         assert ctx.worker_config == (False, str(tmp_path))
         assert RunContext().worker_config == (False, None)
         assert dict(os.environ) == environ
+
+
+class TestWarmPass:
+    """A second pass through a filled parse cache is served from it and
+    reproduces the cold pass (small corpus)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.corpus import generate_corpus, scaled_profiles
+
+        return generate_corpus(seed=77, profiles=scaled_profiles(32))
+
+    def test_warm_mine_hits_and_reproduces_the_activity(self, corpus):
+        from repro.mining import mine_project
+
+        with RunContext().installed() as ctx:
+            cold = [mine_project(p.repository) for p in corpus]
+            cold_stats = ctx.cache.stats
+            warm = [mine_project(p.repository) for p in corpus]
+            warm_stats = ctx.cache.stats - cold_stats
+        assert warm_stats.hit_rate > 0.95
+        total = sum(h.schema_history.total_activity for h in cold)
+        assert total > 0
+        assert total == sum(h.schema_history.total_activity for h in warm)
+
+    def test_warm_study_through_a_disk_cache(self, corpus, tmp_path):
+        from repro.analysis import run_study
+
+        with RunContext(cache_dir=tmp_path).installed():
+            cold = run_study(corpus)
+        # a fresh context starts with an empty memory tier: every warm
+        # hit comes off the disk the cold pass filled
+        with RunContext(cache_dir=tmp_path).installed():
+            warm = run_study(corpus)
+        assert warm.timings.cache.hit_rate > 0.95
+        assert warm.timings.cache.disk_hits > 0
+        assert warm.projects == cold.projects

@@ -262,19 +262,6 @@ class TestRegistryDialectColumn:
         assert "dialect" not in plain
         assert tagged["dialect"] == "sqlite"
 
-    def test_history_baseline_tolerates_pre_dialect_records(self):
-        from repro.obs.registry import build_run_record, history_baseline
-
-        study = self._study()
-        records = [
-            build_run_record(command="t", study=study),  # pre-dialect
-            build_run_record(command="t", study=study, dialect="sqlite"),
-        ]
-        merged = history_baseline(records)
-        assert merged["dialect"] == "sqlite"
-        merged = history_baseline(list(reversed(records)))
-        assert merged["dialect"] is None
-
     def test_obs_history_renders_pre_dialect_rows(self, tmp_path, capsys):
         from repro.cli import main
         from repro.obs.registry import RunRegistry, build_run_record
