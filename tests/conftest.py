@@ -23,3 +23,13 @@ def pytest_fixture_setup(fixturedef, request):
         return
     with RunContext().installed():
         yield
+
+
+@pytest.fixture
+def scipy_stats():
+    """``scipy.stats``, the reference oracle of ``repro.stats``.
+
+    scipy is a test-only dependency: a test that takes this fixture is
+    skipped where it is not installed.
+    """
+    return pytest.importorskip("scipy.stats")

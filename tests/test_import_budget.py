@@ -1,8 +1,8 @@
 """The import budget: scipy, numpy and networkx load only where called.
 
 A warm ``repro report`` only replays stored artifacts, so it must not pay
-for the §7 statistics' scipy import (about a second of start-up), nor
-for networkx, which is an optional dependency.  Two guards:
+for numpy's import (the §7 Monte-Carlo draws use it), nor for scipy or
+networkx, which are optional.  Two guards:
 
 * a static scan: no module under ``src/repro`` imports a heavy library
   at import time (module level, including ``try:``/``if``/``with``
@@ -11,7 +11,10 @@ for networkx, which is an optional dependency.  Two guards:
   in ``sys.modules`` and writes the same bytes as the run that filled it.
 
 And networkx is really optional: with it unimportable, ``repro report``
-still works, and only the dependency-graph API fails, naming it.
+still works, and only the dependency-graph API fails, naming it.  scipy
+is a test-only oracle: no function outside ``analysis/compare.py``
+imports it, and with it unimportable a cold ``repro report`` writes the
+same bytes, while only ``compare_studies`` fails, naming it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,45 @@ def eager_heavy_imports(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def scipy_imports(source: str) -> list[int]:
+    """Lines of every scipy import, at any depth."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(
+            alias.name.partition(".")[0] == "scipy" for alias in node.names
+        )) or (
+            isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").partition(".")[0] == "scipy"
+        )
+    ]
+
+
+#: The one place the program may call scipy (``compare_studies``).
+SCIPY_USERS = {Path("repro/analysis/compare.py")}
+
+
 class TestStaticScan:
+    def test_only_compare_imports_scipy(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{line}"
+            for path in sorted(SRC.rglob("*.py"))
+            if path.relative_to(SRC) not in SCIPY_USERS
+            for line in scipy_imports(path.read_text())
+        ]
+        assert not offenders, offenders
+
+    def test_scipy_scan_sees_function_level_imports(self):
+        source = textwrap.dedent("""
+            import scipy.stats
+            def f():
+                from scipy.special import gammaln
+            class C:
+                def g(self):
+                    import numpy, scipy
+            from .scipy import local
+        """)
+        assert scipy_imports(source) == [2, 4, 7]
+
     def test_no_module_imports_a_heavy_library_at_import_time(self):
         offenders = [
             f"{path.relative_to(SRC)}:{line}: {name}"
@@ -152,19 +193,29 @@ class TestWarmReport:
         ).read_bytes()
 
 
-BLOCK_NETWORKX = textwrap.dedent("""
-    import sys
+def blocker(library: str) -> str:
+    """A ``sitecustomize`` that makes ``library`` unimportable."""
+    return textwrap.dedent(f"""
+        import sys
 
-    class BlockNetworkx:
-        def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] == "networkx":
-                raise ModuleNotFoundError(
-                    f"No module named {name!r}", name=name
-                )
-            return None
+        class Block:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == {library!r}:
+                    raise ModuleNotFoundError(
+                        f"No module named {{name!r}}", name=name
+                    )
+                return None
 
-    sys.meta_path.insert(0, BlockNetworkx())
-""")
+        sys.meta_path.insert(0, Block())
+    """)
+
+
+def blocked_site(tmp_path: Path, library: str) -> list[Path]:
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(blocker(library))
+    return [site]
+
 
 GRAPH_PROBE = textwrap.dedent("""
     from repro.querydep import dependency_graph
@@ -178,10 +229,7 @@ GRAPH_PROBE = textwrap.dedent("""
 class TestNetworkxIsOptional:
     @pytest.fixture
     def blocked(self, tmp_path) -> list[Path]:
-        site = tmp_path / "site"
-        site.mkdir()
-        (site / "sitecustomize.py").write_text(BLOCK_NETWORKX)
-        return [site]
+        return blocked_site(tmp_path, "networkx")
 
     def test_the_block_works(self, tmp_path, blocked):
         probe = _run(["-c", "import networkx"], tmp_path, pythonpath=blocked)
@@ -203,3 +251,47 @@ class TestNetworkxIsOptional:
         proc = _run(["-c", GRAPH_PROBE], tmp_path, pythonpath=blocked)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "networkx"
+
+
+COMPARE_PROBE = textwrap.dedent("""
+    from repro.analysis import StudyResult, compare_studies
+    empty = StudyResult(projects=[], skipped=[])
+    try:
+        compare_studies(empty, empty)
+    except ModuleNotFoundError as exc:
+        print(exc.name)
+""")
+
+
+class TestScipyIsTestOnly:
+    @pytest.fixture
+    def blocked(self, tmp_path) -> list[Path]:
+        return blocked_site(tmp_path, "scipy")
+
+    def test_the_block_works(self, tmp_path, blocked):
+        probe = _run(["-c", "import scipy.stats"], tmp_path,
+                     pythonpath=blocked)
+        assert probe.returncode != 0
+        assert "scipy" in probe.stderr
+
+    def test_cold_report_without_scipy_writes_the_same_bytes(
+        self, tmp_path, blocked
+    ):
+        args = ["-m", "repro", "report", "--scale", "4", "--out"]
+        plain = _run([*args, str(tmp_path / "plain.md")], tmp_path)
+        assert plain.returncode == 0, plain.stderr
+        without = _run(
+            [*args, str(tmp_path / "without.md")], tmp_path,
+            pythonpath=blocked,
+        )
+        assert without.returncode == 0, without.stderr
+        assert (tmp_path / "without.md").read_bytes() == (
+            tmp_path / "plain.md"
+        ).read_bytes()
+
+    def test_compare_studies_names_the_missing_library(
+        self, tmp_path, blocked
+    ):
+        proc = _run(["-c", COMPARE_PROBE], tmp_path, pythonpath=blocked)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "scipy"

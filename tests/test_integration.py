@@ -6,6 +6,8 @@ same parsers a real clone would go through, mined into heartbeats,
 measured, classified and aggregated into figures.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis import analyze_project, canonical_study, run_study
@@ -19,6 +21,7 @@ from repro.corpus import (
 )
 from repro.heartbeat import Month, is_monotone
 from repro.mining import mine_project
+from repro.report import build_study_report
 from repro.taxa import Taxon
 from repro.vcs import parse_repository
 
@@ -129,3 +132,15 @@ class TestAnalyzeSingleProject:
         assert 0 <= measures.sync10 <= 1
         assert measures.schema_commits >= 2
         assert measures.attainment(1.0) <= 1.0
+
+
+class TestCanonicalReport:
+    #: sha256 of the canonical Markdown report, the bytes
+    #: ``repro report`` writes for the paper's corpus seed
+    PINNED_SHA256 = (
+        "e97b650eabed27ffda036524c04cd079a94a9747cd40bac06e79afc1e401466e"
+    )
+
+    def test_report_bytes_are_pinned(self, study):
+        report = build_study_report(study).encode()
+        assert hashlib.sha256(report).hexdigest() == self.PINNED_SHA256

@@ -1,16 +1,19 @@
-"""Unit tests for χ² and the from-scratch r×c Fisher exact test."""
+"""Unit tests for χ² and the from-scratch r×c Fisher exact test.
+
+The cross-checks against scipy take the ``scipy_stats`` fixture and skip
+without it.
+"""
 
 import pytest
-import scipy.stats
 
 from repro.stats import chi_square, fisher_exact_rxc
 
 
 class TestChiSquare:
-    def test_matches_scipy(self):
+    def test_matches_scipy(self, scipy_stats):
         table = [[10, 20], [20, 10], [5, 25]]
         ours = chi_square(table)
-        theirs = scipy.stats.chi2_contingency(table, correction=False)
+        theirs = scipy_stats.chi2_contingency(table, correction=False)
         assert ours.statistic == pytest.approx(theirs.statistic, rel=1e-9)
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-6)
 
@@ -32,6 +35,11 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square([[1, -1], [2, 3]])
 
+    @pytest.mark.parametrize("table", [[[1, 2]], [[1], [2]]])
+    def test_no_degrees_of_freedom_rejected(self, table):
+        with pytest.raises(ValueError):
+            chi_square(table)
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             chi_square([[1, 2], [3]])
@@ -51,9 +59,9 @@ class TestFisherExact2x2:
             [[2, 0], [1, 7]],
         ],
     )
-    def test_matches_scipy(self, table):
+    def test_matches_scipy(self, table, scipy_stats):
         ours = fisher_exact_rxc(table)
-        _, p = scipy.stats.fisher_exact(table, alternative="two-sided")
+        _, p = scipy_stats.fisher_exact(table, alternative="two-sided")
         assert ours.details["method"] == "exact"
         assert ours.p_value == pytest.approx(p, rel=1e-9)
 
@@ -107,3 +115,32 @@ class TestFisherExactRxC:
         result = fisher_exact_rxc(table)
         assert result.details["method"] == "monte_carlo"
         assert result.p_value < 0.05  # clearly taxon-dependent pattern
+
+
+class TestCanonicalLagTables:
+    """The canonical report's three Fisher p-values (200k seeded draws
+    each): a change to the draws or to how a drawn table's probability
+    is compared with the observed one's moves a hit count."""
+
+    @pytest.mark.parametrize(
+        "table, p_value",
+        [
+            (
+                [[18, 15], [26, 36], [17, 12], [22, 19], [7, 3], [3, 17]],
+                0.013244933775331123,
+            ),
+            (
+                [[18, 15], [15, 47], [18, 11], [14, 27], [4, 6], [2, 18]],
+                0.00023999880000599998,
+            ),
+            (
+                [[18, 15], [15, 47], [14, 15], [14, 27], [4, 6], [2, 18]],
+                0.004114979425102874,
+            ),
+        ],
+        ids=["time", "source", "both"],
+    )
+    def test_monte_carlo_p_value_is_pinned(self, table, p_value):
+        result = fisher_exact_rxc(table)
+        assert result.details["method"] == "monte_carlo"
+        assert result.p_value == p_value
